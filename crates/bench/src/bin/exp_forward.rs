@@ -6,8 +6,8 @@
 //! revision), sample Zipf+uniform flows over the live nodes and walk every
 //! packet hop-by-hop through the *published* epochs. Reported per phase:
 //! lookups/sec (headline), mean hop stretch vs BFS shortest paths, p50/p99
-//! per-lookup latency, and packets lost to stale epochs — which must be
-//! **zero** after the drain.
+//! per-packet latency of one walk in 16, and packets lost to stale epochs
+//! — which must be **zero** after the drain.
 //!
 //! ```text
 //! --nodes N             network size (default 4096)

@@ -40,8 +40,9 @@
 //!                       (cross-shard determinism), and — when the runner
 //!                       has more than K cores — requires the K-shard rate
 //!                       to be >= single-shard's (on fewer cores the ratio
-//!                       is reported but not gated: the shards time-slice
-//!                       and every window barrier is a context switch)
+//!                       is reported but not gated: the workers and the
+//!                       coordinating thread share the cores, so host
+//!                       contention on any core stalls every barrier)
 //! ```
 //!
 //! Run with: `cargo run --release -p disco-bench --bin exp_scale`
@@ -269,10 +270,11 @@ fn main() {
 /// contract — and (b) the K-shard announcement rate to be at least
 /// single-shard's. The throughput bar only applies when the runner has
 /// more than `K` cores (real parallelism available: more shards must not
-/// be slower). On smaller runners the K shards time-slice one core and
-/// every lookahead-window barrier is a forced context switch, so the ratio
-/// is reported but not gated — there is no floor that separates a
-/// regression from scheduler noise without a second core.
+/// be slower). On smaller runners the K workers and the coordinating
+/// thread share the cores and contention on any one of them stalls every
+/// lookahead-window barrier, so the ratio is reported but not gated —
+/// there is no floor that separates a regression from scheduler noise
+/// without a spare core.
 fn smoke_sharded(args: &Args, multi: &ScaleResult) {
     let single = run_one(&ScaleConfig {
         n: multi.n,
@@ -318,7 +320,7 @@ fn smoke_sharded(args: &Args, multi: &ScaleResult) {
     let gated = if cores > args.shards {
         "gated"
     } else {
-        "informational: shards time-slice the cores"
+        "informational: no spare core for the coordinator"
     };
     eprintln!(
         "smoke OK: shards={} matches shards=1 bit-for-bit; throughput \

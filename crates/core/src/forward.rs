@@ -10,12 +10,19 @@
 //! so the paper's name→owner resolution is one more binary search instead
 //! of a landmark-set scan), and a landmark-fallback entry (the next hop
 //! toward this node's closest landmark — where a packet goes when the
-//! destination is neither table-resident nor resolved yet). Label/shortcut
-//! resolution is folded in at compile time: each entry carries the selected
-//! path's hop count, so a lookup prices the remaining source-route label
-//! without touching the path arena, and a table hit anywhere along a route
-//! is exactly the paper's `ToDestination` shortcut (the first node that
-//! holds the destination in its vicinity routes directly).
+//! destination is neither table-resident nor resolved yet). A table hit
+//! anywhere along a route is exactly the paper's `ToDestination` shortcut
+//! (the first node that holds the destination in its vicinity routes
+//! directly).
+//!
+//! A compile is one linear pass over the selection column: rows come out
+//! in destination order through an id-sorted permutation of the RIB's
+//! destination interner ([`crate::rib::DestOrder`]), which each buffer
+//! caches, extends when the interner grows and rebuilds only after it
+//! compacts. The landmark ring and fallback are rebuilt only when the
+//! landmark entries changed since the buffer's last compile. Both caches
+//! are keyed by a [`Stamp`], so a stale buffer can never pass for a
+//! current one.
 //!
 //! Lookups must keep running while churn repairs mutate the RIB, so tables
 //! are published, not shared: a [`TablePublisher`] owns two buffers and
@@ -30,19 +37,44 @@
 //! that `exp_forward` measures.
 
 use crate::hash::NameHash;
+use crate::rib::DestOrder;
 use disco_graph::NodeId;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `sel_nbr`-style sentinel for "no fallback hop".
 const NO_HOP: u32 = u32::MAX;
 
-/// One resolved forwarding entry: the dense payload behind a key hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlatRoute {
-    /// Neighbor the packet leaves on.
-    pub next_hop: NodeId,
-    /// Hop count of the selected path (the label cost in hops — what the
-    /// explicit source route would traverse).
-    pub path_hops: u16,
+/// A compile input's change stamp: `(source identity, revision)`. Equal
+/// stamps mean the same state of the same source instance.
+pub type Stamp = (u64, u64);
+
+/// Identity of one mutable compile source (a RIB, a landmark table),
+/// paired with that source's revision counter to form a [`Stamp`].
+///
+/// Fresh on construction *and on clone*: a rejoining node gets a new
+/// protocol instance whose counters restart, and a clone diverges from
+/// its original, so the counters alone could name two different states.
+#[derive(Debug, PartialEq, Eq)]
+pub struct SourceId(u64);
+
+impl SourceId {
+    /// The identity value.
+    pub fn get(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for SourceId {
+    fn default() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        SourceId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for SourceId {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 /// A node's compiled data plane: flat sorted arrays, immutable between
@@ -62,8 +94,6 @@ pub struct ForwardingTable {
     keys: Vec<u32>,
     /// Next hop per key (parallel to `keys`).
     hops: Vec<u32>,
-    /// Selected-path hop count per key (parallel to `keys`).
-    path_hops: Vec<u16>,
     /// Landmark ring positions (`NameHasher::hash_u64(lm)`), sorted.
     lm_pos: Vec<u64>,
     /// Landmark id per ring position (parallel to `lm_pos`).
@@ -72,9 +102,13 @@ pub struct ForwardingTable {
     /// hop toward it (`NO_HOP` = none learned / node is the landmark).
     fallback_lm: u32,
     fallback_hop: u32,
-    /// Compile staging `(key, hop, path_hops)`, reused across epochs so a
-    /// republish allocates nothing in steady state.
-    scratch: Vec<(u32, u32, u16)>,
+    /// Stamp of the landmark state the ring and fallback were built from
+    /// (`None` = never built).
+    landmarks_stamp: Option<Stamp>,
+    /// Compile cache: the source RIB's destination indexes in destination
+    /// order, kept across epochs so a republish neither sorts nor
+    /// allocates in steady state.
+    order: DestOrder,
 }
 
 impl ForwardingTable {
@@ -125,11 +159,11 @@ impl ForwardingTable {
         self.lm_pos.len()
     }
 
-    /// Heap bytes of the published arrays (10 B per destination plus 12 B
+    /// Heap bytes of the published arrays (8 B per destination plus 12 B
     /// per ring landmark — the deployment-question number next to the
     /// RIB's ~25 B/dest selection column).
     pub fn approx_bytes(&self) -> usize {
-        self.keys.len() * (4 + 4 + 2) + self.lm_pos.len() * (8 + 4)
+        self.keys.len() * (4 + 4) + self.lm_pos.len() * (8 + 4)
     }
 
     /// Branchless lower-bound probe: index of the slot holding `key`, if
@@ -158,15 +192,6 @@ impl ForwardingTable {
     pub fn lookup(&self, dest: NodeId) -> Option<NodeId> {
         self.position(dest.0 as u32)
             .map(|i| NodeId(self.hops[i] as usize))
-    }
-
-    /// Full entry for `dest`, if table-resident.
-    #[inline]
-    pub fn entry(&self, dest: NodeId) -> Option<FlatRoute> {
-        self.position(dest.0 as u32).map(|i| FlatRoute {
-            next_hop: NodeId(self.hops[i] as usize),
-            path_hops: self.path_hops[i],
-        })
     }
 
     /// The landmark owning `hash` on the compiled ring: first ring
@@ -201,66 +226,60 @@ impl ForwardingTable {
         &self.keys
     }
 
-    // ---- compile-side builder: `begin` → `push_*`/`set_fallback` →
-    // `seal`, driven by `DiscoProtocol::compile_forwarding_into` (any
-    // protocol with a selection column can compile its own) ----
+    // ---- compile-side builder: `begin` → `fill_routes`/`push_route`,
+    // plus `set_landmarks` when `landmarks_stamp` is stale, driven by
+    // `DiscoProtocol::compile_forwarding_into` ----
 
-    /// Reset for a fresh compile at `revision`, keeping allocations.
+    /// Reset the routes for a fresh compile at `revision`, keeping
+    /// allocations. The ring, the fallback and their stamp carry over
+    /// until the next [`ForwardingTable::set_landmarks`].
     pub fn begin(&mut self, node: NodeId, revision: u64) {
         self.node = node.0 as u32;
         self.revision = revision;
-        self.scratch.clear();
-        self.lm_pos.clear();
-        self.lm_id.clear();
-        self.fallback_lm = NO_HOP;
-        self.fallback_hop = NO_HOP;
-    }
-
-    /// Stage one selection-column row.
-    pub fn push_route(&mut self, dest: NodeId, next_hop: NodeId, path_hops: usize) {
-        self.scratch.push((
-            dest.0 as u32,
-            next_hop.0 as u32,
-            path_hops.min(u16::MAX as usize) as u16,
-        ));
-    }
-
-    /// Stage one landmark-ring slot.
-    pub fn push_landmark(&mut self, pos: u64, lm: NodeId) {
-        self.lm_pos.push(pos);
-        self.lm_id.push(lm.0 as u32);
-    }
-
-    /// Record the landmark-fallback entry.
-    pub fn set_fallback(&mut self, lm: NodeId, hop: NodeId) {
-        self.fallback_lm = lm.0 as u32;
-        self.fallback_hop = hop.0 as u32;
-    }
-
-    /// Sort the staging rows into the published arrays.
-    pub fn seal(&mut self) {
-        self.scratch.sort_unstable();
         self.keys.clear();
         self.hops.clear();
-        self.path_hops.clear();
-        self.keys.reserve(self.scratch.len());
-        self.hops.reserve(self.scratch.len());
-        self.path_hops.reserve(self.scratch.len());
-        for &(k, h, p) in &self.scratch {
-            debug_assert!(self.keys.last() != Some(&k), "duplicate selection row");
-            self.keys.push(k);
-            self.hops.push(h);
-            self.path_hops.push(p);
-        }
-        // Ring slots arrive in landmark-table iteration order; sort by
-        // position (ids are distinct, mix64 collisions are not a practical
-        // concern — ties would differ from the scan rule only there).
-        let mut ring: Vec<(u64, u32)> = self
-            .lm_pos
-            .iter()
-            .copied()
-            .zip(self.lm_id.iter().copied())
-            .collect();
+    }
+
+    /// Append one selection-column row. Rows must arrive in strictly
+    /// ascending destination order.
+    #[inline]
+    pub fn push_route(&mut self, dest: NodeId, next_hop: NodeId) {
+        let key = dest.0 as u32;
+        debug_assert!(
+            self.keys.last().is_none_or(|&last| last < key),
+            "selection rows out of destination order"
+        );
+        self.keys.push(key);
+        self.hops.push(next_hop.0 as u32);
+    }
+
+    /// Push the routes through `fill`, which gets this buffer's cached
+    /// destination order (to read the RIB in destination order with
+    /// [`crate::rib::RibStore::for_each_selected_by_id`]) and the table
+    /// to [`ForwardingTable::push_route`] into.
+    pub fn fill_routes(&mut self, fill: impl FnOnce(&mut DestOrder, &mut Self)) {
+        let mut order = std::mem::take(&mut self.order);
+        fill(&mut order, self);
+        self.order = order;
+    }
+
+    /// Stamp of the landmark state the ring and fallback were built from.
+    pub fn landmarks_stamp(&self) -> Option<Stamp> {
+        self.landmarks_stamp
+    }
+
+    /// Rebuild the landmark ring from `(hash position, landmark)` slots in
+    /// any order, set the fallback entry, and stamp both with `stamp`.
+    pub fn set_landmarks(
+        &mut self,
+        stamp: Option<Stamp>,
+        ring: impl IntoIterator<Item = (u64, NodeId)>,
+        fallback: Option<(NodeId, NodeId)>,
+    ) {
+        // Sort by position (ids are distinct, mix64 collisions are not a
+        // practical concern — ties would differ from the scan rule only
+        // there).
+        let mut ring: Vec<(u64, u32)> = ring.into_iter().map(|(p, lm)| (p, lm.0 as u32)).collect();
         ring.sort_unstable();
         self.lm_pos.clear();
         self.lm_id.clear();
@@ -268,6 +287,11 @@ impl ForwardingTable {
             self.lm_pos.push(p);
             self.lm_id.push(id);
         }
+        (self.fallback_lm, self.fallback_hop) = match fallback {
+            Some((lm, hop)) => (lm.0 as u32, hop.0 as u32),
+            None => (NO_HOP, NO_HOP),
+        };
+        self.landmarks_stamp = stamp;
     }
 }
 
@@ -364,16 +388,14 @@ impl TablePublisher {
 mod tests {
     use super::*;
 
-    fn table_of(rows: &[(u32, u32, u16)], ring: &[(u64, u32)]) -> ForwardingTable {
+    fn table_of(rows: &[(u32, u32)], ring: &[(u64, u32)]) -> ForwardingTable {
         let mut t = ForwardingTable::new(NodeId(0));
         t.begin(NodeId(0), 1);
-        for &(k, h, p) in rows {
-            t.push_route(NodeId(k as usize), NodeId(h as usize), p as usize);
+        for &(k, h) in rows {
+            t.push_route(NodeId(k as usize), NodeId(h as usize));
         }
-        for &(pos, lm) in ring {
-            t.push_landmark(pos, NodeId(lm as usize));
-        }
-        t.seal();
+        let ring = ring.iter().map(|&(pos, lm)| (pos, NodeId(lm as usize)));
+        t.set_landmarks(None, ring, None);
         t
     }
 
@@ -381,7 +403,7 @@ mod tests {
     /// misses between, below and above the keys.
     #[test]
     fn lookup_matches_linear_scan() {
-        let rows: Vec<(u32, u32, u16)> = (0..97u32).map(|i| (i * 3 + 1, i + 1000, 2)).collect();
+        let rows: Vec<(u32, u32)> = (0..97u32).map(|i| (i * 3 + 1, i + 1000)).collect();
         for cut in [0usize, 1, 2, 3, 7, 96, 97] {
             let t = table_of(&rows[..cut], &[]);
             for key in 0..300u32 {
@@ -394,10 +416,20 @@ mod tests {
         }
     }
 
+    /// Source identities are fresh per construction and per clone, so no
+    /// two sources (or a source and its diverging clone) share a stamp.
+    #[test]
+    fn source_ids_are_never_shared() {
+        let a = SourceId::default();
+        let b = SourceId::default();
+        assert_ne!(a, b);
+        assert_ne!(a.clone(), a);
+    }
+
     /// Ring resolution is first-position-clockwise with wraparound.
     #[test]
     fn owner_is_first_clockwise() {
-        let t = table_of(&[], &[(100, 1), (500, 2), (900, 3)]);
+        let t = table_of(&[], &[(500, 2), (100, 1), (900, 3)]);
         assert_eq!(t.owner_landmark(NameHash(50)), Some(NodeId(1)));
         assert_eq!(t.owner_landmark(NameHash(100)), Some(NodeId(1)));
         assert_eq!(t.owner_landmark(NameHash(101)), Some(NodeId(2)));
@@ -413,18 +445,14 @@ mod tests {
         assert!(p.needs_publish(0, 0.0), "first publish is never debounced");
         p.publish_with(0.0, |t| {
             t.begin(NodeId(7), 3);
-            t.push_route(NodeId(1), NodeId(2), 1);
-            t.seal();
+            t.push_route(NodeId(1), NodeId(2));
         });
         assert_eq!(p.table().epoch(), 1);
         assert_eq!(p.table().revision(), 3);
         assert!(!p.needs_publish(3, 100.0), "same revision: no republish");
         assert!(!p.needs_publish(4, 5.0), "inside the debounce window");
         assert!(p.needs_publish(4, 10.0));
-        p.publish_with(10.0, |t| {
-            t.begin(NodeId(7), 4);
-            t.seal();
-        });
+        p.publish_with(10.0, |t| t.begin(NodeId(7), 4));
         assert_eq!(p.table().epoch(), 2);
         assert!(p.table().is_empty(), "swap published the fresh compile");
         assert!(p.table().is_stale(9) && !p.table().is_stale(4));

@@ -80,7 +80,7 @@ pub mod wire;
 pub mod prelude {
     pub use crate::address::Address;
     pub use crate::config::DiscoConfig;
-    pub use crate::forward::{FlatRoute, ForwardingTable, TablePublisher};
+    pub use crate::forward::{ForwardingTable, TablePublisher};
     pub use crate::hash::{NameHash, NameHasher};
     pub use crate::label::ExplicitRoute;
     pub use crate::name::FlatName;

@@ -55,7 +55,8 @@
 //! route for that destination. Refreshes ride the same MRAI-style batch as
 //! withdrawals, so repair cascades stay polynomial.
 
-use crate::rib::{preferred_parts, Candidate, RibStats, RibStore, SelectedRoute};
+use crate::forward::{SourceId, Stamp};
+use crate::rib::{preferred_parts, Candidate, DestOrder, RibStats, RibStore, SelectedRoute};
 use disco_graph::{FxHashMap, InternedPath, NodeId, Weight};
 use disco_sim::{Context, Protocol};
 use serde::{Deserialize, Serialize};
@@ -230,6 +231,14 @@ pub struct PathVectorNode {
     /// node's own address (closest landmark + path) may have changed,
     /// without recomputing either per message.
     landmark_version: u64,
+    /// Identity half of [`Self::landmark_stamp`].
+    uid: SourceId,
+    /// Bumped whenever a landmark-flagged table entry appears, disappears
+    /// or changes distance or next hop — everything the forwarding compile
+    /// reads from [`Self::landmark_entries`] (an `is_landmark` change
+    /// flips the self entry's flag, so it counts too). `landmark_version`
+    /// only approximates this, and its bumps drive protocol behavior.
+    landmark_rev: u64,
     /// Bumped whenever a selection column is (re)written — i.e. whenever
     /// this node's selected next hop for some destination may have moved.
     /// The engine samples it around upcalls to feed the repair-latency
@@ -283,6 +292,8 @@ impl PathVectorNode {
             own_landmark_dist: if is_landmark { 0.0 } else { Weight::INFINITY },
             pending: disco_graph::FxHashSet::default(),
             landmark_version: 0,
+            uid: SourceId::default(),
+            landmark_rev: 0,
             selection_revision: 0,
             batch_armed: false,
             dump_scratch: Vec::new(),
@@ -294,6 +305,13 @@ impl PathVectorNode {
     /// a landmark appears in or disappears from the table).
     pub fn landmark_version(&self) -> u64 {
         self.landmark_version
+    }
+
+    /// Change stamp of [`Self::landmark_entries`] and the landmark status:
+    /// equal stamps mean identical landmark entries, so the forwarding
+    /// compile rebuilds its landmark ring and fallback only when it moves.
+    pub fn landmark_stamp(&self) -> Stamp {
+        (self.uid.get(), self.landmark_rev)
     }
 
     /// Monotone counter of selection-column writes (route selection
@@ -367,10 +385,17 @@ impl PathVectorNode {
     }
 
     /// Visit every destination this node currently serves a selected route
-    /// for (the RIB's selection column, in interning order) — the
-    /// forwarding-table compile sweep of [`crate::forward`].
+    /// for (the RIB's selection column, in interning order), with the full
+    /// selected-route view.
     pub fn for_each_selected(&self, f: impl FnMut(NodeId, SelectedRoute<'_>)) {
         self.rib.for_each_selected(f)
+    }
+
+    /// Visit every selected `(destination, next hop)` in ascending
+    /// destination order, through the caller's cached interner order (see
+    /// [`RibStore::for_each_selected_by_id`]).
+    pub fn for_each_selected_by_id(&self, order: &mut DestOrder, f: impl FnMut(NodeId, NodeId)) {
+        self.rib.for_each_selected_by_id(order, f)
     }
 
     /// Approximate heap bytes of this node's Loc-RIB *view*: the
@@ -415,7 +440,14 @@ impl PathVectorNode {
     fn tbl_insert(&mut self, d: NodeId, e: RouteEntry) -> Option<RouteEntry> {
         let is_local = d != self.id && !e.dest_is_landmark;
         let new_key = (OrdW(e.dist), Self::dkey(d));
+        let lm_view = (e.dest_is_landmark, e.dist, e.next_hop);
         let old = self.table.insert(d, e);
+        let old_lm_view = old
+            .as_ref()
+            .map(|o| (o.dest_is_landmark, o.dist, o.next_hop));
+        if (lm_view.0 || old_lm_view.is_some_and(|v| v.0)) && old_lm_view != Some(lm_view) {
+            self.landmark_rev += 1;
+        }
         if let Some(o) = &old {
             if d != self.id && !o.dest_is_landmark {
                 self.locals.remove(&(OrdW(o.dist), Self::dkey(d)));
@@ -436,6 +468,7 @@ impl PathVectorNode {
     /// Remove a table entry, keeping the mirrors consistent.
     fn tbl_remove(&mut self, d: NodeId) -> Option<RouteEntry> {
         let old = self.table.remove(&d)?;
+        self.landmark_rev += u64::from(old.dest_is_landmark);
         if d != self.id && !old.dest_is_landmark {
             self.locals.remove(&(OrdW(old.dist), Self::dkey(d)));
         }
@@ -1254,6 +1287,46 @@ mod tests {
         let report = engine.run();
         assert!(report.converged, "path vector did not converge");
         (engine.nodes().to_vec(), report.stats)
+    }
+
+    /// The landmark stamp moves on exactly the table changes the
+    /// forwarding compile reads — a landmark entry appearing, leaving, or
+    /// changing distance or next hop — and a clone gets its own identity.
+    #[test]
+    fn landmark_stamp_tracks_landmark_entries() {
+        let mut pv = PathVectorNode::new(NodeId(0), false, TableLimit::Unlimited);
+        let entry = |dist: Weight, hop: usize, path: &[usize], lm: bool| RouteEntry {
+            dist,
+            next_hop: NodeId(hop),
+            path: InternedPath::from_slice(&path.iter().map(|&i| NodeId(i)).collect::<Vec<_>>()),
+            dest_is_landmark: lm,
+            dest_landmark_dist: 0.0,
+        };
+        let mut last = pv.landmark_stamp();
+        let mut step = |pv: &mut PathVectorNode, moved: bool, what: &str| {
+            let now = pv.landmark_stamp();
+            assert_eq!(now != last, moved, "{what}");
+            last = now;
+        };
+        pv.tbl_insert(NodeId(5), entry(2.0, 1, &[0, 1, 5], true));
+        step(&mut pv, true, "landmark entry appears");
+        pv.tbl_insert(NodeId(5), entry(2.0, 1, &[0, 1, 5], true));
+        step(&mut pv, false, "identical re-insert");
+        pv.tbl_insert(NodeId(5), entry(2.0, 1, &[0, 1, 4, 5], true));
+        step(&mut pv, false, "path-only change");
+        pv.tbl_insert(NodeId(5), entry(3.0, 1, &[0, 1, 5], true));
+        step(&mut pv, true, "distance change");
+        pv.tbl_insert(NodeId(5), entry(3.0, 2, &[0, 2, 5], true));
+        step(&mut pv, true, "next-hop change");
+        pv.tbl_insert(NodeId(6), entry(1.0, 6, &[0, 6], false));
+        step(&mut pv, false, "non-landmark entry");
+        pv.tbl_remove(NodeId(6));
+        step(&mut pv, false, "non-landmark removal");
+        pv.tbl_insert(NodeId(6), entry(1.0, 6, &[0, 6], true));
+        step(&mut pv, true, "flag flips on");
+        pv.tbl_remove(NodeId(5));
+        step(&mut pv, true, "landmark entry leaves");
+        assert_ne!(pv.clone().landmark_stamp(), pv.landmark_stamp());
     }
 
     #[test]

@@ -493,38 +493,38 @@ impl DiscoProtocol {
     }
 
     /// Compile this node's data plane into `out` (see [`crate::forward`]):
-    /// the RIB's selection column flattened into the sorted key/next-hop
-    /// arrays, the landmark ring at this node's hash positions, and the
-    /// landmark-fallback entry (next hop toward the closest landmark,
-    /// [`DiscoProtocol::my_address`]'s tie rule). Read-only over the RIB —
-    /// the control plane cannot observe that a compile happened — and
-    /// stamped with [`PathVectorNode::selection_revision`] so
+    /// one pass over the RIB's selection column in destination order
+    /// into the sorted key/next-hop arrays, plus — only when the landmark
+    /// table moved since `out` last saw it — the landmark ring at this
+    /// node's hash positions and the landmark-fallback entry (next hop
+    /// toward the closest landmark, [`DiscoProtocol::my_address`]'s tie
+    /// rule). Read-only over the RIB — the control plane cannot observe
+    /// that a compile happened — and stamped with
+    /// [`PathVectorNode::selection_revision`] so
     /// [`crate::forward::TablePublisher`] republishes exactly when
     /// selections actually moved.
     pub fn compile_forwarding_into(&self, out: &mut ForwardingTable) {
         out.begin(self.pv.id(), self.pv.selection_revision());
-        self.pv.for_each_selected(|dest, sel| {
-            // Hop count of the selected path = the label this entry
-            // resolves to (path nodes minus the node itself).
-            out.push_route(dest, sel.next_hop, sel.path.len().saturating_sub(1));
+        out.fill_routes(|order, out| {
+            self.pv
+                .for_each_selected_by_id(order, |dest, hop| out.push_route(dest, hop));
         });
+        let stamp = self.pv.landmark_stamp();
+        if out.landmarks_stamp() == Some(stamp) {
+            return;
+        }
+        let mut ring = Vec::new();
         let mut fallback: Option<(Weight, NodeId, NodeId)> = None;
         for (&lm, entry) in self.pv.landmark_entries() {
-            out.push_landmark(self.hasher.hash_u64(lm.0 as u64).value(), lm);
-            let better = match fallback {
-                Some((bd, blm, _)) => (entry.dist, lm) < (bd, blm),
-                None => true,
-            };
-            if better {
+            ring.push((self.hasher.hash_u64(lm.0 as u64).value(), lm));
+            if fallback.is_none_or(|(bd, blm, _)| (entry.dist, lm) < (bd, blm)) {
                 fallback = Some((entry.dist, lm, entry.next_hop));
             }
         }
-        if !self.pv.is_landmark() {
-            if let Some((_, lm, hop)) = fallback {
-                out.set_fallback(lm, hop);
-            }
-        }
-        out.seal();
+        let fallback = fallback
+            .filter(|_| !self.pv.is_landmark())
+            .map(|(_, lm, hop)| (lm, hop));
+        out.set_landmarks(Some(stamp), ring, fallback);
     }
 
     /// Full path from this node to `target` using learned routes: a table

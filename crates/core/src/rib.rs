@@ -41,6 +41,7 @@
 //! preference order is total), so replacing the nested maps cannot change
 //! protocol behavior — the churn golden test locks this.
 
+use crate::forward::{SourceId, Stamp};
 use disco_graph::{FxHashMap, InternedPath, NodeId, Weight};
 
 /// A candidate route as held in the per-neighbor Adj-RIB-In. Identical to
@@ -208,10 +209,29 @@ pub struct SelectedRoute<'a> {
     pub path: &'a InternedPath,
 }
 
+/// An id-sorted permutation of a [`RibStore`]'s destination interner: the
+/// forwarding compile's row order. Held by the caller across compiles
+/// (each [`crate::forward::ForwardingTable`] buffer keeps one) and brought
+/// up to date by [`RibStore::for_each_selected_by_id`] only when the
+/// interner changed since — never on the message path.
+#[derive(Debug, Clone, Default)]
+pub struct DestOrder {
+    /// The interner layout `idx` indexes (`None` = never built).
+    stamp: Option<Stamp>,
+    /// Destination indexes `0..idx.len()` in ascending destination id.
+    idx: Vec<u32>,
+}
+
 /// The compact Adj-RIB-In: per-neighbor SoA slabs over interned
 /// destination indexes. See the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct RibStore {
+    /// Identity half of the interner's layout stamp.
+    uid: SourceId,
+    /// Bumped whenever compaction remaps the interner's indexes (the
+    /// revision half of the stamp [`DestOrder`] caches are keyed on).
+    /// Between remaps the interner only appends.
+    remaps: u64,
     /// Destination index → node id (compact: simulation node ids fit u32).
     dests: Vec<u32>,
     /// Destination node id → index.
@@ -589,12 +609,13 @@ impl RibStore {
         })
     }
 
-    /// Visit every destination with a selected route, in interning order —
-    /// the forwarding-table compile sweep. The visited view is the cached
-    /// selection column (see the module docs on load-bearing staleness),
-    /// which is exactly the contract a compiled data plane wants: the
-    /// routes this node is currently *serving*, not the candidates a
-    /// repair in flight may be about to select.
+    /// Visit every destination with a selected route, in interning order.
+    /// The visited view is the cached selection column (see the module
+    /// docs on load-bearing staleness), which is exactly the contract a
+    /// compiled data plane wants: the routes this node is currently
+    /// *serving*, not the candidates a repair in flight may be about to
+    /// select. [`RibStore::for_each_selected_by_id`] is the compile's
+    /// destination-ordered form.
     pub fn for_each_selected(&self, mut f: impl FnMut(NodeId, SelectedRoute<'_>)) {
         for i in 0..self.dests.len() {
             let nbr = self.sel_nbr[i];
@@ -611,6 +632,41 @@ impl RibStore {
                     path: self.sel_path[i].as_ref().expect("selection holds a path"),
                 },
             );
+        }
+    }
+
+    /// Visit every selected route as `(destination, next hop)` in
+    /// ascending destination order — the forwarding compile's one linear
+    /// pass. `order` is the caller's cached permutation of the interner:
+    /// rebuilt here after a compaction remapped the indexes (or for
+    /// another store), extended with the indexes interned since the last
+    /// call, and otherwise used as is.
+    #[inline]
+    pub fn for_each_selected_by_id(
+        &self,
+        order: &mut DestOrder,
+        mut f: impl FnMut(NodeId, NodeId),
+    ) {
+        let stamp = (self.uid.get(), self.remaps);
+        if order.stamp != Some(stamp) {
+            order.idx.clear();
+            order.stamp = Some(stamp);
+        }
+        let known = order.idx.len() as u32;
+        if known < self.dests.len() as u32 {
+            order.idx.extend(known..self.dests.len() as u32);
+            // The cached prefix is one sorted run, so the stable sort only
+            // sorts the new indexes and merges: O(k + m log m).
+            order.idx.sort_by_key(|&i| self.dests[i as usize]);
+        }
+        for &i in &order.idx {
+            let nbr = self.sel_nbr[i as usize];
+            if nbr != ABSENT {
+                f(
+                    NodeId(self.dests[i as usize] as usize),
+                    NodeId(nbr as usize),
+                );
+            }
         }
     }
 
@@ -821,6 +877,7 @@ impl RibStore {
             slab.pos = pos;
         }
         self.live_dests = dests.len();
+        self.remaps += 1;
         self.dests = dests;
         self.cand_count = cand_count;
         self.evicted = evicted;
@@ -999,6 +1056,46 @@ mod tests {
         assert!(!rib.select_best(NodeId(1000)));
         assert!(!rib.select_best(NodeId(1199)));
         assert_eq!(rib.stats().selected, 0);
+    }
+
+    /// The cached id order stays exact while the interner grows (new
+    /// indexes merged into the cached run) and after compaction remaps
+    /// every index.
+    #[test]
+    fn id_order_tracks_interner_growth_and_compaction() {
+        fn check(rib: &RibStore, order: &mut DestOrder) {
+            let mut want = Vec::new();
+            rib.for_each_selected(|d, sel| want.push((d.0, sel.next_hop.0)));
+            want.sort_unstable();
+            let mut got = Vec::new();
+            rib.for_each_selected_by_id(order, |d, hop| got.push((d.0, hop.0)));
+            assert_eq!(got, want);
+        }
+        let mut rib = RibStore::new();
+        let mut order = DestOrder::default();
+        let nbr = NodeId(1);
+        // Interning order scrambles the ids.
+        let dests: Vec<NodeId> = (0..200).map(|i| NodeId(1000 + i * 37 % 200)).collect();
+        for (k, &d) in dests.iter().enumerate() {
+            rib.insert(nbr, d, &cand(&[0, 1, d.0], 2.0, false));
+            rib.select_best(d);
+            if k % 50 == 49 {
+                check(&rib, &mut order);
+            }
+        }
+        // Another store never reuses this store's cached order, even at
+        // the same compaction count.
+        let mut other = RibStore::new();
+        other.insert(nbr, NodeId(5), &cand(&[0, 1, 5], 1.0, false));
+        other.select_best(NodeId(5));
+        check(&other, &mut order);
+        check(&rib, &mut order);
+        for &d in &dests[..190] {
+            rib.remove(nbr, d);
+            rib.select_best(d);
+        }
+        assert!(rib.stats().dests_interned < 64, "compaction must have run");
+        check(&rib, &mut order);
     }
 
     #[test]

@@ -18,9 +18,17 @@
 //! 3. **Landmark fallback**: a non-landmark node with any landmark entry
 //!    compiles a usable fallback hop; the fallback landmark is one the
 //!    node actually knows.
+//! 4. **Differential compile**: the cached, sort-free compile matches a
+//!    reference that does everything from scratch (collect the selection
+//!    column, sort it, scan every landmark entry) in keys, hops,
+//!    `fallback()` and `owner_landmark` on sampled hashes — both for a
+//!    fresh buffer and for the publisher's back buffer, which from the
+//!    third probe on still holds the compile of two epochs ago (and, for
+//!    a node that left and rejoined, a compile of its previous life).
 
 use disco_core::config::DiscoConfig;
-use disco_core::forward::ForwardingTable;
+use disco_core::forward::{ForwardingTable, TablePublisher};
+use disco_core::hash::NameHash;
 use disco_core::landmark::{landmark_set, select_landmarks};
 use disco_core::protocol::{DiscoProtocol, PhaseTimers};
 use disco_graph::{generators, NodeId};
@@ -42,12 +50,6 @@ fn check_faithful(proto: &DiscoProtocol, table: &ForwardingTable) {
             table.node(),
             dest
         );
-        let entry = table.entry(dest).expect("selected dest must be resident");
-        assert_eq!(
-            usize::from(entry.path_hops) + 1,
-            sel.path.len().max(1),
-            "path-length hint diverges"
-        );
     });
     assert_eq!(
         table.len(),
@@ -64,6 +66,66 @@ fn check_faithful(proto: &DiscoProtocol, table: &ForwardingTable) {
                 .landmark_entries()
                 .any(|(&l, e)| l == lm && e.next_hop == hop),
             "fallback must be a known landmark route"
+        );
+    }
+}
+
+/// What the compile built before the caches, from scratch: every row
+/// collected and sorted, every landmark entry scanned.
+struct Reference {
+    /// Sorted `(destination, next hop)` rows.
+    rows: Vec<(u32, u32)>,
+    /// The landmark-fallback entry.
+    fallback: Option<(NodeId, NodeId)>,
+}
+
+/// The reference compile. The ring's reference is
+/// `DiscoProtocol::owner_landmark`, which hashes every landmark entry per
+/// call.
+fn reference_compile(proto: &DiscoProtocol) -> Reference {
+    let mut rows = Vec::new();
+    proto
+        .pv
+        .for_each_selected(|dest, sel| rows.push((dest.0 as u32, sel.next_hop.0 as u32)));
+    rows.sort_unstable();
+    let mut best: Option<(f64, NodeId, NodeId)> = None;
+    for (&lm, e) in proto.pv.landmark_entries() {
+        if best.is_none_or(|(bd, blm, _)| (e.dist, lm) < (bd, blm)) {
+            best = Some((e.dist, lm, e.next_hop));
+        }
+    }
+    let fallback = best
+        .filter(|_| !proto.pv.is_landmark())
+        .map(|(_, lm, hop)| (lm, hop));
+    Reference { rows, fallback }
+}
+
+/// Assert that `table` is exactly what [`reference_compile`] builds from
+/// `proto`, probing the ring at `hashes`.
+fn check_against_reference(proto: &DiscoProtocol, table: &ForwardingTable, hashes: &[u64]) {
+    let v = table.node();
+    let reference = reference_compile(proto);
+    let keys: Vec<u32> = reference.rows.iter().map(|r| r.0).collect();
+    assert_eq!(table.keys(), &keys[..], "node {v:?}: keys diverge");
+    for &(k, h) in &reference.rows {
+        let dest = NodeId(k as usize);
+        assert_eq!(
+            table.lookup(dest),
+            Some(NodeId(h as usize)),
+            "node {v:?} dest {k}"
+        );
+    }
+    assert_eq!(
+        table.fallback(),
+        reference.fallback,
+        "node {v:?}: fallback diverges"
+    );
+    assert_eq!(table.ring_len(), proto.pv.landmark_entries().count());
+    for &h in hashes {
+        assert_eq!(
+            table.owner_landmark(NameHash(h)),
+            proto.owner_landmark(NameHash(h)),
+            "node {v:?}: ring owner of {h:#x} diverges"
         );
     }
 }
@@ -110,10 +172,15 @@ proptest! {
 
         // Probe mid-churn and after quiescence. Tables retained from the
         // previous probe must either still carry the current revision and
-        // compile identically, or report stale.
+        // compile identically, or report stale. Every probe also publishes
+        // every active node, so from the third probe on each compile lands
+        // in a back buffer two epochs old.
         let mut retained: Vec<Option<ForwardingTable>> = (0..n).map(|_| None).collect();
+        let mut pubs: Vec<TablePublisher> =
+            (0..n).map(|v| TablePublisher::new(NodeId(v), 0.0)).collect();
         let probes = [start + 4.0, start + 11.0, last + 1.0, f64::INFINITY];
         for &t in &probes {
+            let hashes: Vec<u64> = (0..64).map(|_| rng.gen()).collect();
             if t.is_finite() {
                 engine.run_to(t);
             } else {
@@ -128,6 +195,9 @@ proptest! {
                 let mut fresh = ForwardingTable::new(NodeId(v));
                 proto.compile_forwarding_into(&mut fresh);
                 check_faithful(proto, &fresh);
+                check_against_reference(proto, &fresh, &hashes);
+                pubs[v].publish_with(engine.now(), |back| proto.compile_forwarding_into(back));
+                check_against_reference(proto, pubs[v].table(), &hashes);
                 let rev = proto.pv.selection_revision();
                 if let Some(old) = slot {
                     if old.is_stale(rev) {
@@ -151,4 +221,56 @@ proptest! {
             }
         }
     }
+}
+
+/// A landmark that leaves must drop off every ring it was on, and come
+/// back when it rejoins, even when each node compiles into the same
+/// buffer throughout (so only the landmark stamp can tell the ring is
+/// stale): at most nodes the departure removes a landmark entry and
+/// changes no other.
+#[test]
+fn landmark_departure_and_return_rebuild_the_ring() {
+    let (n, seed) = (48, 7);
+    let graph = generators::gnm_average_degree(n, 6.0, seed);
+    let dcfg = DiscoConfig::seeded(seed).with_dynamic_n_estimation(false);
+    let landmarks = select_landmarks(n, &dcfg);
+    let lm_set = landmark_set(&landmarks);
+    let mut engine = Engine::new(&graph, |v| {
+        DiscoProtocol::new(v, lm_set.contains(&v), n, &dcfg, PhaseTimers::default())
+    });
+    assert!(engine.run().converged);
+    let victim = landmarks[0];
+    let links: Vec<_> = graph
+        .neighbors(victim)
+        .iter()
+        .map(|nb| (nb.node, nb.weight))
+        .collect();
+    let mut rng = rng_for(seed, 0xf05d, 1);
+    let hashes: Vec<u64> = (0..256).map(|_| rng.gen()).collect();
+    let mut tables: Vec<ForwardingTable> =
+        (0..n).map(|v| ForwardingTable::new(NodeId(v))).collect();
+    let compile_all = |engine: &Engine<'_, DiscoProtocol>, tables: &mut [ForwardingTable]| {
+        for (v, table) in tables.iter_mut().enumerate() {
+            if engine.is_active(NodeId(v)) {
+                let proto = &engine.nodes()[v];
+                proto.compile_forwarding_into(table);
+                check_against_reference(proto, table, &hashes);
+            }
+        }
+    };
+    compile_all(&engine, &mut tables);
+    let t = engine.now() + 1.0;
+    engine.schedule_topology(t, TopologyEvent::NodeLeave { node: victim });
+    engine.run_until(|_| false);
+    compile_all(&engine, &mut tables);
+    let t = engine.now() + 1.0;
+    engine.schedule_topology(
+        t,
+        TopologyEvent::NodeJoin {
+            node: victim,
+            links,
+        },
+    );
+    engine.run_until(|_| false);
+    compile_all(&engine, &mut tables);
 }

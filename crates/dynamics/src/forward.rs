@@ -19,7 +19,6 @@
 
 use disco_core::forward::ForwardingTable;
 use disco_graph::{Graph, NodeId};
-use std::time::Instant;
 
 /// A destination's address detached from the path arena: its closest
 /// landmark and the label path `landmark → … → destination`.
@@ -96,9 +95,9 @@ where
     /// Forward one packet from `src` to `dst` hop-by-hop through the
     /// published tables. `addr` is the destination's resolved address
     /// (`None` models an unresolved name: only direct table hits can
-    /// deliver). `on_lookup` observes every table probe's wall-clock
-    /// nanoseconds — the per-lookup latency stream for
-    /// [`disco_telemetry`]'s histograms.
+    /// deliver). `on_lookup` observes every table probe, receiving the
+    /// probed table's node id. The walk reads no clock: callers that want
+    /// latency time whole walks, one in N.
     ///
     /// At each node the forwarding decision is, in order: direct table
     /// hit on `dst`; explicit label step if the node sits on the address
@@ -119,19 +118,16 @@ where
             let Some(tab) = (self.table_of)(cur) else {
                 return WalkOutcome::Miss { hops };
             };
-            let t0 = Instant::now();
-            let direct = tab.lookup(dst);
-            on_lookup(t0.elapsed().as_nanos() as u64);
-            let next = if let Some(h) = direct {
+            on_lookup(cur.0 as u64);
+            let next = if let Some(h) = tab.lookup(dst) {
                 h
             } else if let Some(addr) = addr {
                 match addr.path.iter().position(|&p| p == cur) {
                     // On the label: follow the explicit source route.
                     Some(i) if i + 1 < addr.path.len() => addr.path[i + 1],
                     _ => {
-                        let t0 = Instant::now();
+                        on_lookup(cur.0 as u64);
                         let lm_hop = tab.lookup(addr.landmark);
-                        on_lookup(t0.elapsed().as_nanos() as u64);
                         match lm_hop.or_else(|| tab.fallback().map(|(_, hop)| hop)) {
                             Some(h) => h,
                             None => return WalkOutcome::Miss { hops },
@@ -202,27 +198,27 @@ mod tests {
         let mut t = ForwardingTable::new(NodeId(node));
         t.begin(NodeId(node), 1);
         for &(dest, hop) in rows {
-            t.push_route(NodeId(dest), NodeId(hop), 1);
+            t.push_route(NodeId(dest), NodeId(hop));
         }
-        t.seal();
         t
     }
 
-    /// Delivered along the line, hop count and lookup stream correct.
+    /// Delivered along the line; the lookup stream names each probed
+    /// table's node once per probe, in hop order.
     #[test]
     fn walks_deliver_over_direct_routes() {
         let g = line();
         let tabs: Vec<ForwardingTable> = (0..4).map(|v| table(v, &[(3, (v + 1).min(3))])).collect();
-        let mut lookups = 0;
+        let mut probed = Vec::new();
         let walker = PacketWalker {
             graph: &g,
             is_active: |_| true,
             table_of: |v: NodeId| Some(&tabs[v.0]),
             ttl: 16,
         };
-        let out = walker.walk(NodeId(0), NodeId(3), None, |_| lookups += 1);
+        let out = walker.walk(NodeId(0), NodeId(3), None, |v| probed.push(v));
         assert_eq!(out, WalkOutcome::Delivered { hops: 3 });
-        assert_eq!(lookups, 3);
+        assert_eq!(probed, vec![0, 1, 2]);
     }
 
     /// A hop onto an inactive node is a stale loss, not a miss.
@@ -264,8 +260,12 @@ mod tests {
             table_of: |v: NodeId| Some(&tabs[v.0]),
             ttl: 16,
         };
-        let out = walker.walk(NodeId(0), NodeId(3), Some(&addr), |_| {});
+        let mut probed = Vec::new();
+        let out = walker.walk(NodeId(0), NodeId(3), Some(&addr), |v| probed.push(v));
         assert_eq!(out, WalkOutcome::Delivered { hops: 3 });
+        // Node 0 probes the destination, then the landmark; 1 and 2 miss
+        // the destination and step along the label.
+        assert_eq!(probed, vec![0, 0, 1, 2]);
         let out = walker.walk(NodeId(0), NodeId(3), None, |_| {});
         assert_eq!(out, WalkOutcome::Miss { hops: 0 });
     }

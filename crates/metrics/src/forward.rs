@@ -2,8 +2,8 @@
 //! versus hash-map.
 //!
 //! The compiled data plane (`disco_core::forward::ForwardingTable`) holds
-//! one destination in ten bytes across three parallel arrays — a `u32`
-//! key, a `u32` next hop and a `u16` path-length hint — plus twelve bytes
+//! one destination in eight bytes across two parallel arrays — a `u32`
+//! key and a `u32` next hop — plus twelve bytes
 //! per landmark for the ring used by the owner-fallback. The obvious
 //! alternative, a per-node `FxHashMap<NodeId, FibEntry>` FIB, pays
 //! SwissTable geometry on 8-byte keys and padded values. This module
@@ -14,18 +14,18 @@
 use crate::control::swiss_table_bytes;
 
 /// Bytes per destination in the flat compiled table: `u32` key + `u32`
-/// next hop + `u16` path-length hint, split across sorted parallel
-/// arrays (no padding — the arrays are independently allocated).
-pub const FLAT_ENTRY_BYTES: usize = 10;
+/// next hop, split across sorted parallel arrays (no padding — the
+/// arrays are independently allocated).
+pub const FLAT_ENTRY_BYTES: usize = 8;
 
 /// Bytes per landmark in the flat table's owner ring: a `u64` ring
 /// position + `u32` landmark id.
 pub const FLAT_RING_BYTES: usize = 12;
 
 /// Bytes per entry a hash-map FIB would pay *inside each bucket*: an
-/// 8-byte `NodeId` key and a value of next hop (8) + path-length hint
-/// (2) padded to 8-byte alignment — before SwissTable bucket geometry.
-pub const HASH_FIB_PAYLOAD: usize = 8 + 16;
+/// 8-byte `NodeId` key and an 8-byte `NodeId` next hop — before
+/// SwissTable bucket geometry.
+pub const HASH_FIB_PAYLOAD: usize = 8 + 8;
 
 /// Flat compiled-table bytes for `entries` destinations and a `ring` of
 /// landmarks — the published footprint `ForwardingTable::approx_bytes`
@@ -82,7 +82,7 @@ mod tests {
         assert_eq!(flat_table_bytes(0, 0), 0);
         assert_eq!(hash_fib_bytes(0, 0), 0);
         let c = FibComparison::price(300, 58);
-        assert_eq!(c.flat_bytes, 300 * 10 + 58 * 12);
+        assert_eq!(c.flat_bytes, 300 * 8 + 58 * 12);
         assert!(
             c.reduction() > 2.0,
             "hash {} vs flat {}",
