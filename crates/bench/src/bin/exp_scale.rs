@@ -23,7 +23,6 @@
 //! --events N            delivered-announcement budget per size
 //!                       (default 3000000)
 //! --threads T           static-build worker threads (default 0 = one/CPU)
-//! --queue wheel|heap    event-queue implementation (default wheel)
 //! --json PATH           write the JSON report to PATH
 //! --trace PATH          export the first sweep size's engine leg as a
 //!                       Chrome trace_event timeline (adds recorder
@@ -58,7 +57,6 @@ struct Args {
     seed: u64,
     budget: u64,
     threads: usize,
-    heap_queue: bool,
     json: Option<String>,
     smoke: Option<String>,
     trace: Option<String>,
@@ -71,7 +69,6 @@ fn parse_args() -> Args {
         seed: 1,
         budget: 3_000_000,
         threads: 0,
-        heap_queue: false,
         json: None,
         smoke: None,
         trace: None,
@@ -94,13 +91,6 @@ fn parse_args() -> Args {
             "--seed" | "-s" => out.seed = value("--seed").parse().expect("--seed"),
             "--events" => out.budget = value("--events").parse().expect("--events"),
             "--threads" => out.threads = value("--threads").parse().expect("--threads"),
-            "--queue" => {
-                out.heap_queue = match value("--queue").as_str() {
-                    "heap" => true,
-                    "wheel" => false,
-                    other => panic!("unknown queue {other} (wheel|heap)"),
-                };
-            }
             "--json" => out.json = Some(value("--json")),
             "--trace" => out.trace = Some(value("--trace")),
             "--shards" => out.shards = value("--shards").parse().expect("--shards"),
@@ -112,7 +102,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --sizes a,b,c --full --seed S --events N --threads T \
-                     --queue wheel|heap --json PATH --trace PATH --shards K --smoke"
+                     --json PATH --trace PATH --shards K --smoke"
                 );
                 std::process::exit(0);
             }
@@ -128,11 +118,7 @@ fn render_json(args: &Args, results: &[ScaleResult]) -> String {
     let _ = writeln!(j, "  \"experiment\": \"exp_scale\",");
     let _ = writeln!(j, "  \"seed\": {},", args.seed);
     let _ = writeln!(j, "  \"announcement_budget\": {},", args.budget);
-    let _ = writeln!(
-        j,
-        "  \"queue\": \"{}\",",
-        if args.heap_queue { "heap" } else { "wheel" }
-    );
+    let _ = writeln!(j, "  \"queue\": \"wheel\",");
     // The smoke gate: 70% of the measured 1k announcement rate, rounded
     // down — CI fails an exp_scale --smoke run that regresses delivered
     // announcements/sec by >30%.
@@ -196,7 +182,6 @@ fn main() {
             seed: args.seed,
             announcement_budget: args.budget,
             build_threads: args.threads,
-            heap_queue: args.heap_queue,
             // Trace only the first size in the sweep (the file would
             // otherwise be overwritten per size).
             trace: args.trace.clone().filter(|_| results.is_empty()),
@@ -281,7 +266,6 @@ fn smoke_sharded(args: &Args, multi: &ScaleResult) {
         seed: args.seed,
         announcement_budget: args.budget,
         build_threads: args.threads,
-        heap_queue: false,
         trace: None,
         shards: 1,
     });

@@ -8,16 +8,14 @@
 //! summary is byte-identical across runs — the property the determinism
 //! test locks in.
 
+use crate::disco_factory;
 use disco_core::config::DiscoConfig;
-use disco_core::landmark::{landmark_set, select_landmarks};
-use disco_core::protocol::{DiscoProtocol, PhaseTimers};
+use disco_core::protocol::DiscoProtocol;
 use disco_dynamics::models::PoissonChurn;
-use disco_dynamics::probe::{
-    disco_first_packet_route, disco_probe_sharded, probe, sample_live_pairs,
-    sample_live_pairs_sharded,
-};
-use disco_graph::generators;
-use disco_sim::{Engine, NoopRecorder, Phase, Recorder, ShardedEngine, TimerWheel};
+use disco_dynamics::probe::{disco_probe, sample_live_pairs};
+use disco_dynamics::Schedule;
+use disco_graph::{generators, Graph};
+use disco_sim::{Engine, NoopRecorder, Phase, Recorder, ShardedEngine, Sim, TimerWheel};
 use std::fmt::Write as _;
 
 /// Parameters of one churn run.
@@ -220,26 +218,48 @@ pub fn churn_experiment_with<R: Recorder>(
     params: &ChurnParams,
     mut recorder: R,
 ) -> (ChurnOutcome, R) {
-    let n = params.nodes;
     recorder.phase_begin(Phase::Build, 0.0);
-    let graph = generators::gnm_average_degree(n, 8.0, params.seed);
-    let cfg = params.config();
-    let landmarks = select_landmarks(n, &cfg);
-    let lm_set = landmark_set(&landmarks);
+    let graph = generators::gnm_average_degree(params.nodes, 8.0, params.seed);
+    let factory = disco_factory(params.nodes, &params.config());
     recorder.phase_end(Phase::Build, 0.0);
+    let engine = Engine::with_recorder(&graph, factory, TimerWheel::new(), recorder);
+    run_churn(engine, &graph, params, |e, s| s.apply_to(e))
+}
 
-    let mut engine = Engine::with_recorder(
-        &graph,
-        |v| DiscoProtocol::new(v, lm_set.contains(&v), n, &cfg, PhaseTimers::default()),
-        TimerWheel::new(),
-        recorder,
-    );
-    engine.recorder_mut().phase_begin(Phase::Boot, 0.0);
+/// [`churn_experiment`] on the sharded engine with `shards` workers.
+///
+/// Returns the same [`ChurnOutcome`] — byte-identical summary for every
+/// shard count, including 1 — because the sharded engine executes the
+/// same logical event schedule as the sequential one and
+/// [`disco_probe`] reads protocol state on the owner shards in the
+/// sequential candidate order. The golden test locks this equality in.
+pub fn churn_experiment_sharded(params: &ChurnParams, shards: usize) -> ChurnOutcome {
+    let graph = generators::gnm_average_degree(params.nodes, 8.0, params.seed);
+    let factory = disco_factory(params.nodes, &params.config());
+    let engine = ShardedEngine::new(&graph, shards, params.seed, factory);
+    run_churn(engine, &graph, params, |e, s| {
+        s.apply_to_sharded(e)
+            .expect("churn schedule re-adds only links of the original graph")
+    })
+    .0
+}
+
+/// The churn experiment on a freshly built `engine` over `graph`:
+/// converge, `inject` the compiled churn schedule, probe through the churn
+/// window, drain and probe once more.
+fn run_churn<E: Sim<Node = DiscoProtocol>>(
+    mut engine: E,
+    graph: &Graph,
+    params: &ChurnParams,
+    inject: impl FnOnce(&mut E, &Schedule),
+) -> (ChurnOutcome, E::Rec) {
+    let n = params.nodes;
+    engine.phase_begin(Phase::Boot, 0.0);
     let report = engine.run();
     assert!(report.converged, "initial convergence failed");
-    let convergence_msgs = engine.stats().total_sent();
+    let convergence_msgs = report.stats.total_sent();
     let boot_end = engine.now();
-    engine.recorder_mut().phase_end(Phase::Boot, boot_end);
+    engine.phase_end(Phase::Boot, boot_end);
 
     // Compile and inject the churn schedule relative to "now".
     let model = PoissonChurn {
@@ -248,10 +268,10 @@ pub fn churn_experiment_with<R: Recorder>(
         horizon: params.horizon,
         ..PoissonChurn::default()
     };
-    let schedule = model.compile(&graph, params.seed);
+    let schedule = model.compile(graph, params.seed);
     let start = engine.now();
-    schedule.apply_to(&mut engine);
-    engine.recorder_mut().phase_begin(Phase::Churn, start);
+    inject(&mut engine, &schedule);
+    engine.phase_begin(Phase::Churn, start);
 
     // Probe at fixed times through the churn window.
     let mut timeline = Vec::with_capacity(params.probes + 1);
@@ -261,7 +281,7 @@ pub fn churn_experiment_with<R: Recorder>(
         let t = start + params.horizon * i as f64 / params.probes as f64;
         engine.run_to(t);
         let pairs = sample_live_pairs(&engine, params.pairs_per_probe, params.seed ^ i as u64);
-        let p = probe(&engine, &pairs, disco_first_packet_route);
+        let p = disco_probe(&mut engine, &pairs);
         routable_total += p.routable;
         delivered_total += p.delivered;
         timeline.push(ChurnProbe {
@@ -278,13 +298,13 @@ pub fn churn_experiment_with<R: Recorder>(
         delivered_total as f64 / routable_total as f64
     };
     let churn_end = engine.now();
-    engine.recorder_mut().phase_end(Phase::Churn, churn_end);
-    engine.recorder_mut().phase_begin(Phase::Drain, churn_end);
+    engine.phase_end(Phase::Churn, churn_end);
+    engine.phase_begin(Phase::Drain, churn_end);
 
     // Let the network fully quiesce, then probe once more.
     let quiesced = engine.run_until(|_| false);
     let pairs = sample_live_pairs(&engine, params.pairs_per_probe, params.seed ^ 0xf17a1);
-    let p = probe(&engine, &pairs, disco_first_packet_route);
+    let p = disco_probe(&mut engine, &pairs);
     let final_availability = p.availability();
     timeline.push(ChurnProbe {
         time: engine.now() - start,
@@ -294,111 +314,11 @@ pub fn churn_experiment_with<R: Recorder>(
         mean_stretch: p.mean_stretch(),
     });
     let end = engine.now();
-    engine.recorder_mut().phase_end(Phase::Drain, end);
-    engine.recorder_mut().finish(end);
-
-    let (queue_live, queue_dead) = engine.queue_stats();
-    let outcome = ChurnOutcome {
-        timeline,
-        availability,
-        final_availability,
-        topology_events: engine.topology_events(),
-        messages_dropped: engine.messages_dropped(),
-        convergence_msgs_per_node: convergence_msgs as f64 / n as f64,
-        repair_msgs_per_node: (engine.stats().total_sent() - convergence_msgs) as f64 / n as f64,
-        quiesced,
-        messages_delivered: engine.messages_delivered(),
-        stale_timer_pops: engine.stale_timer_pops(),
-        queue_live,
-        queue_dead,
-        bytes_sent: engine.stats().total_bytes(),
-        bytes_received: engine.stats().total_bytes_received(),
-    };
-    (outcome, engine.into_recorder())
-}
-
-/// [`churn_experiment`] on the sharded engine with `shards` workers.
-///
-/// Returns the same [`ChurnOutcome`] — byte-identical summary for every
-/// shard count, including 1 — because the sharded engine executes the
-/// same logical event schedule as the sequential one and the probes read
-/// protocol state through batched shard visits that reproduce the
-/// sequential oracle's candidate order (see
-/// `disco_dynamics::probe::disco_probe_sharded`). The golden test locks
-/// this equality in.
-pub fn churn_experiment_sharded(params: &ChurnParams, shards: usize) -> ChurnOutcome {
-    let n = params.nodes;
-    let graph = generators::gnm_average_degree(n, 8.0, params.seed);
-    let cfg = params.config();
-    let landmarks = select_landmarks(n, &cfg);
-    let lm_set = landmark_set(&landmarks);
-
-    let factory_cfg = cfg.clone();
-    let mut engine = ShardedEngine::new(&graph, shards, params.seed, move |v| {
-        DiscoProtocol::new(
-            v,
-            lm_set.contains(&v),
-            n,
-            &factory_cfg,
-            PhaseTimers::default(),
-        )
-    });
-    let report = engine.run();
-    assert!(report.converged, "initial convergence failed");
-    let convergence_msgs = report.stats.total_sent();
-
-    let model = PoissonChurn {
-        leave_rate_per_node: params.leave_rate_per_node,
-        mean_downtime: params.mean_downtime,
-        horizon: params.horizon,
-        ..PoissonChurn::default()
-    };
-    let schedule = model.compile(&graph, params.seed);
-    let start = engine.now();
-    schedule
-        .apply_to_sharded(&mut engine)
-        .expect("churn schedule re-adds only links of the original graph");
-
-    let mut timeline = Vec::with_capacity(params.probes + 1);
-    let mut routable_total = 0usize;
-    let mut delivered_total = 0usize;
-    for i in 1..=params.probes {
-        let t = start + params.horizon * i as f64 / params.probes as f64;
-        engine.run_to(t);
-        let pairs =
-            sample_live_pairs_sharded(&engine, params.pairs_per_probe, params.seed ^ i as u64);
-        let p = disco_probe_sharded(&mut engine, &pairs);
-        routable_total += p.routable;
-        delivered_total += p.delivered;
-        timeline.push(ChurnProbe {
-            time: p.time - start,
-            live: engine.active_count(),
-            routable: p.routable,
-            delivered: p.delivered,
-            mean_stretch: p.mean_stretch(),
-        });
-    }
-    let availability = if routable_total == 0 {
-        1.0
-    } else {
-        delivered_total as f64 / routable_total as f64
-    };
-
-    let quiesced = engine.run_until(|_| false);
-    let pairs = sample_live_pairs_sharded(&engine, params.pairs_per_probe, params.seed ^ 0xf17a1);
-    let p = disco_probe_sharded(&mut engine, &pairs);
-    let final_availability = p.availability();
-    timeline.push(ChurnProbe {
-        time: engine.now() - start,
-        live: engine.active_count(),
-        routable: p.routable,
-        delivered: p.delivered,
-        mean_stretch: p.mean_stretch(),
-    });
+    engine.phase_end(Phase::Drain, end);
 
     let (queue_live, queue_dead) = engine.queue_stats();
     let stats = engine.merged_stats();
-    ChurnOutcome {
+    let outcome = ChurnOutcome {
         timeline,
         availability,
         final_availability,
@@ -413,7 +333,8 @@ pub fn churn_experiment_sharded(params: &ChurnParams, shards: usize) -> ChurnOut
         queue_dead,
         bytes_sent: stats.total_bytes(),
         bytes_received: stats.total_bytes_received(),
-    }
+    };
+    (outcome, engine.finish().recorder)
 }
 
 #[cfg(test)]

@@ -3,10 +3,11 @@
 //!
 //! Every prior experiment measures the *control* plane. This one forwards
 //! packets: each node's RIB selection column is compiled into a flat
-//! [`ForwardingTable`] behind an epoch-stamped [`TablePublisher`]
-//! double-buffer, and batched flat-name lookups (a Zipf mix and a uniform
-//! mix of destinations over the live nodes) are driven hop-by-hop through
-//! the *published* epochs while the protocol keeps repairing underneath.
+//! [`ForwardingTable`](disco_core::forward::ForwardingTable) behind an
+//! epoch-stamped [`TablePublisher`] double-buffer, and batched flat-name
+//! lookups (a Zipf mix and a uniform mix of destinations over the live
+//! nodes) are driven hop-by-hop through the *published* epochs while the
+//! protocol keeps repairing underneath.
 //! Reported per phase: lookups/sec (the headline — every table probe a
 //! walk performs, over the batch's wall time; one walk in
 //! [`LATENCY_SAMPLE_EVERY`] is also timed on its own into a
@@ -18,25 +19,25 @@
 //! republishes its final revision and the last batch must lose nothing:
 //! zero stale loss after drain is the gate.
 //!
-//! The sharded leg compiles tables on their owner shards (plain-array
-//! tables cross threads; interned paths do not), ships them to the
-//! coordinator and walks on its topology mirror. Publish decisions are
-//! made from the exact same `(published revision, debounce, control
-//! revision)` inputs as the sequential leg, so every deterministic column
-//! — walks, deliveries, stale losses, lookup counts, republishes — is
-//! identical across shard counts; only wall-clock differs.
+//! The leg is written once for both engines. Tables compile on each
+//! node's owner shard (its publisher moves there and back: plain-array
+//! tables cross threads, interned paths do not), and walks run on the
+//! engine's current topology. Publish decisions see the same `(published revision,
+//! debounce, control revision)` inputs on every engine, so every
+//! deterministic column — walks, deliveries, stale losses, lookup counts,
+//! republishes — is identical across shard counts; only wall-clock
+//! differs.
 
+use crate::disco_factory;
 use disco_core::config::DiscoConfig;
-use disco_core::forward::{ForwardingTable, TablePublisher};
-use disco_core::landmark::{landmark_set, select_landmarks};
-use disco_core::protocol::{DiscoProtocol, PhaseTimers};
+use disco_core::forward::TablePublisher;
+use disco_core::landmark::select_landmarks;
+use disco_core::protocol::DiscoProtocol;
 use disco_dynamics::forward::{hop_distances, FlowAddress, PacketWalker, WalkOutcome};
 use disco_dynamics::models::PoissonChurn;
-use disco_graph::{generators, FxHashMap, Graph, NodeId};
+use disco_graph::{generators, FxHashMap, NodeId};
 use disco_sim::rng::rng_for;
-use disco_sim::{
-    Engine, EventQueue, NoopRecorder, Phase, Protocol, Recorder, ShardedEngine, TimerWheel,
-};
+use disco_sim::{Engine, Phase, Protocol, Recorder, ShardedEngine, Sim, TimerWheel};
 use disco_telemetry::{FullRecorder, Log2Histogram, MessageClass};
 use rand::Rng;
 use std::time::Instant;
@@ -297,232 +298,117 @@ impl PhaseAcc {
     }
 }
 
-/// The engine surface the traffic generator drives — implemented by the
-/// sequential [`Engine`] and the [`ShardedEngine`], so boot/churn/drain
-/// checkpoints run the identical decision sequence on both.
-trait DataPlane {
-    fn run_to_t(&mut self, t: f64);
-    /// Run to quiescence; returns the simulation end time.
-    fn drain_to_quiescence(&mut self) -> f64;
-    fn topo(&self) -> &Graph;
-    fn is_live(&self, v: NodeId) -> bool;
-    fn live_nodes(&self) -> Vec<NodeId>;
-    /// Republish every live node whose control revision moved (modulo
-    /// debounce); returns the number of new epochs.
-    fn republish(&mut self, pubs: &mut [TablePublisher], now: f64) -> u64;
-    /// Resolve each flow's destination address (omniscient resolution:
-    /// the probe reads the destination's current `my_address`, detached
-    /// from the path arena).
-    fn addresses(&mut self, flows: &[(NodeId, NodeId)]) -> Vec<Option<FlowAddress>>;
-    /// Feed the run's recorder with one checkpoint's data-plane telemetry
-    /// (no-op on untraced/sharded legs).
-    fn record_lookups(
-        &mut self,
-        _now: f64,
-        _flows: &[(NodeId, NodeId)],
-        _outcomes: &[WalkOutcome],
-        _walk_ns: &[u64],
-    ) {
-    }
-    /// Phase marks for the trace timeline (no-op when untraced).
-    fn mark_phase(&mut self, _phase: Phase, _begin: bool, _now: f64) {}
-}
-
-impl<Q, R> DataPlane for Engine<'_, DiscoProtocol, Q, R>
-where
-    Q: EventQueue<<DiscoProtocol as Protocol>::Message>,
-    R: Recorder,
-{
-    fn run_to_t(&mut self, t: f64) {
-        self.run_to(t);
-    }
-
-    fn drain_to_quiescence(&mut self) -> f64 {
-        self.run_until(|_| false);
-        self.now()
-    }
-
-    fn topo(&self) -> &Graph {
-        self.graph()
-    }
-
-    fn is_live(&self, v: NodeId) -> bool {
-        self.is_active(v)
-    }
-
-    fn live_nodes(&self) -> Vec<NodeId> {
-        self.active_nodes().collect()
-    }
-
-    fn republish(&mut self, pubs: &mut [TablePublisher], now: f64) -> u64 {
-        let mut count = 0;
-        for (v, publisher) in pubs.iter_mut().enumerate() {
-            if !self.is_active(NodeId(v)) {
-                continue;
-            }
-            let node = &self.nodes()[v];
-            if publisher.needs_publish(node.control_revision(), now) {
-                publisher.publish_with(now, |t| node.compile_forwarding_into(t));
-                count += 1;
-            }
-        }
-        count
-    }
-
-    fn addresses(&mut self, flows: &[(NodeId, NodeId)]) -> Vec<Option<FlowAddress>> {
-        let nodes = self.nodes();
-        flows
-            .iter()
-            .map(|&(_, t)| {
-                nodes[t.0].my_address().map(|a| FlowAddress {
-                    landmark: a.landmark,
-                    path: a.path.to_vec(),
-                })
+/// Republish every live node whose control revision moved (modulo
+/// debounce); returns the number of new epochs. Each owned node's
+/// publisher moves to its owner shard, which evaluates exactly
+/// `TablePublisher::needs_publish` and compiles into the back buffer
+/// there (compiled tables are plain arrays; interned paths never leave
+/// their shard), then comes back.
+fn republish<E: Sim<Node = DiscoProtocol>>(
+    engine: &mut E,
+    pubs: &mut [TablePublisher],
+    now: f64,
+) -> u64 {
+    let mut count = 0;
+    for shard in 0..engine.shards() {
+        let mine: Vec<(usize, TablePublisher)> = (0..pubs.len())
+            .filter(|&v| engine.owner_of(NodeId(v)) == shard && engine.is_active(NodeId(v)))
+            .map(|v| {
+                let idle = TablePublisher::new(NodeId(v), 0.0);
+                (v, std::mem::replace(&mut pubs[v], idle))
             })
-            .collect()
-    }
-
-    fn record_lookups(
-        &mut self,
-        now: f64,
-        flows: &[(NodeId, NodeId)],
-        outcomes: &[WalkOutcome],
-        walk_ns: &[u64],
-    ) {
-        if !R::ENABLED {
-            return;
-        }
-        let rec = self.recorder_mut();
-        // A lookup "message" is the probe key: 4 bytes on the wire model.
-        rec.message_sent(
-            now,
-            MessageClass::Lookup,
-            flows.len() as u64,
-            4 * flows.len() as u64,
-        );
-        let mut dropped = 0;
-        for (&(s, t), out) in flows.iter().zip(outcomes) {
-            if out.delivered() {
-                rec.message_delivered(now, MessageClass::Lookup, s.0 as u32, t.0 as u32);
-            } else {
-                dropped += 1;
-            }
-        }
-        if dropped > 0 {
-            rec.message_dropped(now, MessageClass::Lookup, dropped);
-        }
-        for &ns in walk_ns {
-            rec.event_done(MessageClass::Lookup, ns);
+            .collect();
+        let rows: Vec<(usize, TablePublisher, bool)> = engine.visit(shard, move |nodes| {
+            mine.into_iter()
+                .map(|(v, mut publisher)| {
+                    let node = &nodes[v];
+                    let needs = publisher.needs_publish(node.control_revision(), now);
+                    if needs {
+                        publisher.publish_with(now, |t| node.compile_forwarding_into(t));
+                    }
+                    (v, publisher, needs)
+                })
+                .collect()
+        });
+        for (v, publisher, published) in rows {
+            pubs[v] = publisher;
+            count += u64::from(published);
         }
     }
-
-    fn mark_phase(&mut self, phase: Phase, begin: bool, now: f64) {
-        if !R::ENABLED {
-            return;
-        }
-        if begin {
-            self.recorder_mut().phase_begin(phase, now);
-        } else {
-            self.recorder_mut().phase_end(phase, now);
-        }
-    }
+    count
 }
 
-impl DataPlane for ShardedEngine<DiscoProtocol, NoopRecorder> {
-    fn run_to_t(&mut self, t: f64) {
-        self.run_to(t);
-    }
-
-    fn drain_to_quiescence(&mut self) -> f64 {
-        self.run_until(|_| false);
-        self.now()
-    }
-
-    fn topo(&self) -> &Graph {
-        self.graph()
-    }
-
-    fn is_live(&self, v: NodeId) -> bool {
-        self.is_active(v)
-    }
-
-    fn live_nodes(&self) -> Vec<NodeId> {
-        self.active_nodes().collect()
-    }
-
-    fn republish(&mut self, pubs: &mut [TablePublisher], now: f64) -> u64 {
-        let mut count = 0;
-        for shard in 0..self.shards() {
-            // Ship each owned node's publish-decision inputs to its shard;
-            // the worker evaluates exactly `TablePublisher::needs_publish`
-            // and compiles only the tables that need a new epoch.
-            let mine: Vec<(usize, Option<u64>, bool)> = (0..pubs.len())
-                .filter(|&v| self.owner_of(NodeId(v)) == shard && self.is_active(NodeId(v)))
-                .map(|v| (v, pubs[v].published_revision(), pubs[v].may_publish_at(now)))
-                .collect();
-            if mine.is_empty() {
-                continue;
-            }
-            let rows: Vec<(usize, Option<ForwardingTable>)> = self.visit(shard, move |e| {
-                let nodes = e.nodes();
-                mine.into_iter()
-                    .map(|(v, pub_rev, may)| {
-                        let node = &nodes[v];
-                        let rev = node.control_revision();
-                        let needs = match pub_rev {
-                            None => true,
-                            Some(pr) => pr != rev && may,
-                        };
-                        let table = needs.then(|| {
-                            let mut t = ForwardingTable::new(NodeId(v));
-                            node.compile_forwarding_into(&mut t);
-                            t
-                        });
-                        (v, table)
-                    })
-                    .collect()
-            });
-            for (v, table) in rows {
-                if let Some(table) = table {
-                    pubs[v].publish_with(now, |slot| *slot = table);
-                    count += 1;
-                }
-            }
+/// Resolve each flow's destination address (omniscient resolution: the
+/// probe reads the destination's current `my_address` on its owner shard,
+/// detached from the path arena).
+fn addresses<E: Sim<Node = DiscoProtocol>>(
+    engine: &mut E,
+    flows: &[(NodeId, NodeId)],
+) -> Vec<Option<FlowAddress>> {
+    let mut out: Vec<Option<FlowAddress>> = vec![None; flows.len()];
+    for shard in 0..engine.shards() {
+        let mine: Vec<(usize, NodeId)> = flows
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(_, t))| engine.owner_of(t) == shard)
+            .map(|(i, &(_, t))| (i, t))
+            .collect();
+        if mine.is_empty() {
+            continue;
         }
-        count
-    }
-
-    fn addresses(&mut self, flows: &[(NodeId, NodeId)]) -> Vec<Option<FlowAddress>> {
-        let mut out: Vec<Option<FlowAddress>> = vec![None; flows.len()];
-        for shard in 0..self.shards() {
-            let mine: Vec<(usize, usize)> = flows
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(_, t))| self.owner_of(t) == shard)
-                .map(|(i, &(_, t))| (i, t.0))
-                .collect();
-            if mine.is_empty() {
-                continue;
-            }
-            // Addresses come back with their label paths detached from
-            // the worker's thread-local arena.
-            type AddrRow = (usize, Option<(NodeId, Vec<NodeId>)>);
-            let rows: Vec<AddrRow> = self.visit(shard, move |e| {
-                let nodes = e.nodes();
-                mine.into_iter()
-                    .map(|(i, t)| {
-                        (
-                            i,
-                            nodes[t].my_address().map(|a| (a.landmark, a.path.to_vec())),
-                        )
-                    })
-                    .collect()
-            });
-            for (i, addr) in rows {
-                out[i] = addr.map(|(landmark, path)| FlowAddress { landmark, path });
-            }
+        let rows: Vec<(usize, Option<FlowAddress>)> = engine.visit(shard, move |nodes| {
+            mine.into_iter()
+                .map(|(i, t)| {
+                    let addr = nodes[t.0].my_address().map(|a| FlowAddress {
+                        landmark: a.landmark,
+                        path: a.path.to_vec(),
+                    });
+                    (i, addr)
+                })
+                .collect()
+        });
+        for (i, addr) in rows {
+            out[i] = addr;
         }
-        out
+    }
+    out
+}
+
+/// Feed the engine's recorder, if it has one, with one checkpoint's
+/// data-plane telemetry.
+fn record_lookups<E: Sim>(
+    engine: &mut E,
+    now: f64,
+    flows: &[(NodeId, NodeId)],
+    outcomes: &[WalkOutcome],
+    walk_ns: &[u64],
+) {
+    if !<E::Rec as Recorder>::ENABLED {
+        return;
+    }
+    let Some(rec) = engine.recorder_mut() else {
+        return;
+    };
+    // A lookup "message" is the probe key: 4 bytes on the wire model.
+    rec.message_sent(
+        now,
+        MessageClass::Lookup,
+        flows.len() as u64,
+        4 * flows.len() as u64,
+    );
+    let mut dropped = 0;
+    for (&(s, t), out) in flows.iter().zip(outcomes) {
+        if out.delivered() {
+            rec.message_delivered(now, MessageClass::Lookup, s.0 as u32, t.0 as u32);
+        } else {
+            dropped += 1;
+        }
+    }
+    if dropped > 0 {
+        rec.message_dropped(now, MessageClass::Lookup, dropped);
+    }
+    for &ns in walk_ns {
+        rec.event_done(MessageClass::Lookup, ns);
     }
 }
 
@@ -568,8 +454,8 @@ fn sample_flows(
 /// Run one checkpoint: republish, sample flows, resolve addresses, walk
 /// every packet through the published epochs (the timed batch), then
 /// classify outcomes against BFS reachability.
-fn checkpoint<D: DataPlane>(
-    plane: &mut D,
+fn checkpoint<E: Sim<Node = DiscoProtocol>>(
+    engine: &mut E,
     pubs: &mut [TablePublisher],
     acc: &mut PhaseAcc,
     cfg: &ForwardConfig,
@@ -577,23 +463,23 @@ fn checkpoint<D: DataPlane>(
     now: f64,
 ) {
     acc.checkpoints += 1;
-    acc.republishes += plane.republish(pubs, now);
-    let live = plane.live_nodes();
+    acc.republishes += republish(engine, pubs, now);
+    let live: Vec<NodeId> = engine.active_nodes().collect();
     if live.len() < 2 {
         return;
     }
     let flows = sample_flows(&live, cfg.flows, cfg.seed, checkpoint_idx);
-    let addrs = plane.addresses(&flows);
+    let addrs = addresses(engine, &flows);
 
     // The timed batch: every walk, with one in LATENCY_SAMPLE_EVERY also
     // clocked on its own into the latency histogram.
-    let graph = plane.topo();
+    let graph = engine.graph();
     let mut outcomes = Vec::with_capacity(flows.len());
     let mut lookups = 0u64;
     let mut walk_ns: Vec<u64> = Vec::with_capacity(flows.len() / LATENCY_SAMPLE_EVERY + 1);
     let walker = PacketWalker {
         graph,
-        is_active: |v: NodeId| plane.is_live(v),
+        is_active: |v: NodeId| engine.is_active(v),
         table_of: |v: NodeId| {
             let p = &pubs[v.0];
             p.has_published().then(|| p.table())
@@ -619,10 +505,10 @@ fn checkpoint<D: DataPlane>(
     // Classification + stretch, outside the timed window. BFS runs once
     // per distinct source that needs it (stretch subsample + drops).
     let mut bfs: FxHashMap<NodeId, Vec<u32>> = FxHashMap::default();
-    let mut dist_to = |s: NodeId, t: NodeId, plane: &D| {
-        let graph = plane.topo();
+    let mut dist_to = |s: NodeId, t: NodeId, engine: &E| {
+        let graph = engine.graph();
         bfs.entry(s)
-            .or_insert_with(|| hop_distances(graph, |v| plane.is_live(v), s))[t.0]
+            .or_insert_with(|| hop_distances(graph, |v| engine.is_active(v), s))[t.0]
     };
     for (i, (&(s, t), out)) in flows.iter().zip(&outcomes).enumerate() {
         acc.walks += 1;
@@ -631,7 +517,7 @@ fn checkpoint<D: DataPlane>(
                 acc.delivered += 1;
                 acc.hops += u64::from(*hops);
                 if i < STRETCH_SAMPLE {
-                    let d = dist_to(s, t, plane);
+                    let d = dist_to(s, t, engine);
                     if d != u32::MAX && d > 0 {
                         acc.stretch_hops += u64::from(*hops);
                         acc.stretch_dist += u64::from(d);
@@ -639,14 +525,14 @@ fn checkpoint<D: DataPlane>(
                 }
             }
             WalkOutcome::StaleLoss { .. } | WalkOutcome::TtlExceeded => {
-                if dist_to(s, t, plane) == u32::MAX {
+                if dist_to(s, t, engine) == u32::MAX {
                     acc.unreachable += 1;
                 } else {
                     acc.stale_loss += 1;
                 }
             }
             WalkOutcome::Miss { .. } => {
-                if dist_to(s, t, plane) == u32::MAX {
+                if dist_to(s, t, engine) == u32::MAX {
                     acc.unreachable += 1;
                 } else {
                     acc.miss += 1;
@@ -654,47 +540,55 @@ fn checkpoint<D: DataPlane>(
             }
         }
     }
-    plane.record_lookups(now, &flows, &outcomes, &walk_ns);
+    record_lookups(engine, now, &flows, &outcomes, &walk_ns);
 }
 
-/// Drive the boot/churn/drain phase schedule over any [`DataPlane`].
-fn drive_phases<D: DataPlane>(
-    plane: &mut D,
+/// The three phases' rows and the simulation end time.
+type Phases = (PhaseRow, PhaseRow, PhaseRow, f64);
+
+/// Drive the boot/churn/drain phase schedule over a freshly built engine
+/// (schedule already injected), then shut it down and hand back its
+/// recorder.
+fn drive_phases<E: Sim<Node = DiscoProtocol>>(
+    mut engine: E,
     pubs: &mut [TablePublisher],
     cfg: &ForwardConfig,
-) -> (PhaseRow, PhaseRow, PhaseRow, f64) {
+) -> (Phases, E::Rec) {
     let mut ck = 0u64;
     let mut boot = PhaseAcc::default();
-    plane.mark_phase(Phase::Boot, true, 0.0);
+    engine.phase_begin(Phase::Boot, 0.0);
     for &t in BOOT_CHECKPOINTS {
-        plane.run_to_t(t);
-        checkpoint(plane, pubs, &mut boot, cfg, ck, t);
+        engine.run_to(t);
+        checkpoint(&mut engine, pubs, &mut boot, cfg, ck, t);
         ck += 1;
     }
-    plane.mark_phase(Phase::Boot, false, *BOOT_CHECKPOINTS.last().unwrap());
+    let boot_end = *BOOT_CHECKPOINTS.last().unwrap();
+    engine.phase_end(Phase::Boot, boot_end);
 
     let mut churn = PhaseAcc::default();
-    plane.mark_phase(Phase::Churn, true, *BOOT_CHECKPOINTS.last().unwrap());
+    engine.phase_begin(Phase::Churn, boot_end);
     for &t in CHURN_CHECKPOINTS {
-        plane.run_to_t(t);
-        checkpoint(plane, pubs, &mut churn, cfg, ck, t);
+        engine.run_to(t);
+        checkpoint(&mut engine, pubs, &mut churn, cfg, ck, t);
         ck += 1;
     }
     let churn_end = *CHURN_CHECKPOINTS.last().unwrap();
-    plane.mark_phase(Phase::Churn, false, churn_end);
+    engine.phase_end(Phase::Churn, churn_end);
 
-    plane.mark_phase(Phase::Drain, true, churn_end);
-    let sim_end = plane.drain_to_quiescence();
+    engine.phase_begin(Phase::Drain, churn_end);
+    engine.run_until(|_| false);
+    let sim_end = engine.now();
     let mut drain = PhaseAcc::default();
-    checkpoint(plane, pubs, &mut drain, cfg, ck, sim_end);
-    plane.mark_phase(Phase::Drain, false, sim_end);
+    checkpoint(&mut engine, pubs, &mut drain, cfg, ck, sim_end);
+    engine.phase_end(Phase::Drain, sim_end);
 
-    (
+    let phases = (
         boot.into_row("boot"),
         churn.into_row("churn"),
         drain.into_row("drain"),
         sim_end,
-    )
+    );
+    (phases, engine.finish().recorder)
 }
 
 /// Run one `exp_forward` leg. Deterministic in `(n, seed, flows,
@@ -702,9 +596,8 @@ fn drive_phases<D: DataPlane>(
 pub fn run_one(cfg: &ForwardConfig) -> ForwardResult {
     let graph = generators::gnm_average_degree(cfg.n, 8.0, cfg.seed);
     let dcfg = DiscoConfig::seeded(cfg.seed).with_dynamic_n_estimation(cfg.dynamic_n);
-    let landmarks = select_landmarks(cfg.n, &dcfg);
-    let lm_set = landmark_set(&landmarks);
-    let landmark_count = landmarks.len();
+    let landmark_count = select_landmarks(cfg.n, &dcfg).len();
+    let factory = disco_factory(cfg.n, &dcfg);
     let model = PoissonChurn {
         leave_rate_per_node: 0.0002,
         mean_downtime: 150.0,
@@ -716,46 +609,28 @@ pub fn run_one(cfg: &ForwardConfig) -> ForwardResult {
         .map(|v| TablePublisher::new(NodeId(v), cfg.debounce))
         .collect();
 
-    let n = cfg.n;
-    let factory_cfg = dcfg.clone();
-    let factory = move |v: NodeId| {
-        DiscoProtocol::new(
-            v,
-            lm_set.contains(&v),
-            n,
-            &factory_cfg,
-            PhaseTimers::default(),
-        )
-    };
-
     let (boot, churn, drain, sim_end) = if cfg.shards > 0 {
         assert!(cfg.trace.is_none(), "--shards runs untraced");
         let mut engine = ShardedEngine::new(&graph, cfg.shards, cfg.seed, factory);
         schedule
             .apply_to_sharded(&mut engine)
             .expect("churn re-adds only links of the original graph");
-        let out = drive_phases(&mut engine, &mut pubs, cfg);
-        // Clean worker shutdown (drops shard engines, compacts arenas).
-        engine.finish();
-        out
+        drive_phases(engine, &mut pubs, cfg).0
     } else if let Some(path) = &cfg.trace {
         let mut rec = FullRecorder::new();
         rec.phase_begin(Phase::Build, 0.0);
         rec.phase_end(Phase::Build, 0.0);
         let mut engine = Engine::with_recorder(&graph, factory, TimerWheel::new(), rec);
         schedule.apply_to(&mut engine);
-        let out = drive_phases(&mut engine, &mut pubs, cfg);
-        let end = engine.now();
-        engine.recorder_mut().finish(end);
-        let rec = engine.into_recorder();
+        let (out, rec) = drive_phases(engine, &mut pubs, cfg);
         let json = rec.chrome_trace_json();
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("trace written to {path} ({} bytes)", json.len());
         out
     } else {
-        let mut engine = Engine::with_recorder(&graph, factory, TimerWheel::new(), NoopRecorder);
+        let mut engine = Engine::new(&graph, factory);
         schedule.apply_to(&mut engine);
-        drive_phases(&mut engine, &mut pubs, cfg)
+        drive_phases(engine, &mut pubs, cfg).0
     };
 
     let (mut table_entries, mut table_bytes, mut hash_fib_bytes) = (0u64, 0u64, 0u64);

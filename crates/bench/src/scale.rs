@@ -14,16 +14,12 @@
 //! configuration. The static-build timing exercises
 //! `DiscoState::build_parallel` with the `threads` knob.
 
+use crate::disco_factory;
 use disco_core::config::DiscoConfig;
-use disco_core::landmark::{landmark_set, select_landmarks};
-use disco_core::protocol::{DiscoProtocol, PhaseTimers};
 use disco_core::static_state::DiscoState;
 use disco_dynamics::models::PoissonChurn;
-use disco_graph::{generators, NodeId, PathArena};
-use disco_sim::{
-    BinaryHeapQueue, Engine, EventQueue, NoopRecorder, Phase, Protocol, Recorder, ShardedEngine,
-    TimerWheel,
-};
+use disco_graph::{generators, PathArena};
+use disco_sim::{Engine, Phase, Recorder, ShardedEngine, Sim, TimerWheel};
 use disco_telemetry::FullRecorder;
 use std::time::Instant;
 
@@ -39,9 +35,6 @@ pub struct ScaleConfig {
     pub announcement_budget: u64,
     /// Worker threads for the static build (0 = one per CPU).
     pub build_threads: usize,
-    /// Use the legacy `BinaryHeap` event queue instead of the timer wheel
-    /// (for queue-only comparisons).
-    pub heap_queue: bool,
     /// Export the throughput leg as a Chrome `trace_event` timeline to this
     /// path (runs the full telemetry recorder; `None` = no-op recorder,
     /// the measured configuration).
@@ -50,8 +43,7 @@ pub struct ScaleConfig {
     /// shards (0 = the sequential engine). Delivered announcements,
     /// topology events and the simulation end time are identical for every
     /// shard count; wall-clock scales with cores. Incompatible with
-    /// `heap_queue` and `trace` (the sharded engine runs the wheel queue
-    /// untraced).
+    /// `trace` (the sharded engine runs untraced).
     pub shards: usize,
 }
 
@@ -163,11 +155,10 @@ pub fn run_one(cfg: &ScaleConfig) -> ScaleResult {
     let t0 = Instant::now();
     let st = DiscoState::build_parallel(&graph, &dcfg, cfg.build_threads);
     let build_secs = t0.elapsed().as_secs_f64();
-    let landmarks_built = st.landmarks().len();
+    let landmarks = st.landmarks().len();
     drop(st);
 
-    let landmarks = select_landmarks(cfg.n, &dcfg);
-    let lm_set = landmark_set(&landmarks);
+    let factory = disco_factory(cfg.n, &dcfg);
     let model = PoissonChurn {
         leave_rate_per_node: 0.0002,
         mean_downtime: 150.0,
@@ -176,136 +167,83 @@ pub fn run_one(cfg: &ScaleConfig) -> ScaleResult {
     };
     let schedule = model.compile(&graph, cfg.seed);
 
-    PathArena::reset_peak();
-    let factory = |v: NodeId| {
-        DiscoProtocol::new(v, lm_set.contains(&v), cfg.n, &dcfg, PhaseTimers::default())
-    };
-
-    fn drive<P: Protocol, Q: EventQueue<P::Message>, R: Recorder>(
-        engine: &mut Engine<'_, P, Q, R>,
-        budget: u64,
-    ) -> (u64, u64, f64, u64, f64) {
-        let t1 = Instant::now();
-        engine.start();
-        engine.run_until(|e| e.messages_delivered() >= budget);
-        let secs = t1.elapsed().as_secs_f64();
-        (
-            engine.events_processed(),
-            engine.messages_delivered(),
-            secs,
-            engine.topology_events(),
-            engine.now(),
-        )
-    }
-
     if cfg.shards > 0 {
-        assert!(
-            cfg.trace.is_none() && !cfg.heap_queue,
-            "--shards runs the wheel queue untraced"
-        );
-        let n = cfg.n;
-        let factory_cfg = dcfg.clone();
-        let factory = move |v: NodeId| {
-            DiscoProtocol::new(
-                v,
-                lm_set.contains(&v),
-                n,
-                &factory_cfg,
-                PhaseTimers::default(),
-            )
-        };
+        assert!(cfg.trace.is_none(), "--shards runs untraced");
         let mut engine = ShardedEngine::new(&graph, cfg.shards, cfg.seed, factory);
         schedule
             .apply_to_sharded(&mut engine)
             .expect("churn re-adds only links of the original graph");
-        let budget = cfg.announcement_budget;
-        let t1 = Instant::now();
-        engine.start();
-        engine.run_until(|e| e.messages_delivered() >= budget);
-        let engine_secs = t1.elapsed().as_secs_f64();
-        // Path arenas are thread-local: each worker gauges its own; the sum
-        // is the whole run's routing-state footprint.
-        let (mut peak, mut live) = (0usize, 0usize);
-        for shard in 0..engine.shards() {
-            let st = engine.visit(shard, |_| PathArena::stats());
-            peak += st.peak_live_cells;
-            live += st.live_cells;
-        }
-        let events = engine.events_processed();
-        let announcements = engine.messages_delivered();
-        let topology_events = engine.topology_events();
-        let sim_end = engine.now();
-        // Shut the workers down properly: each drops its engine and
-        // compacts its thread-local arena, so the run does not exit with
-        // `live ≈ peak` capacity pinned per worker.
-        let summary = engine.finish();
-        return ScaleResult {
-            n: cfg.n,
-            landmarks: landmarks_built,
-            build_secs,
-            events,
-            announcements,
-            engine_secs,
-            events_per_sec: events as f64 / engine_secs.max(1e-9),
-            announcements_per_sec: announcements as f64 / engine_secs.max(1e-9),
-            peak_arena_cells: peak,
-            live_arena_cells: live,
-            arena_reclaimed_cells: summary.arena_reclaimed_cells,
-            topology_events,
-            shards: cfg.shards,
-            sim_end,
-        };
-    }
-
-    let (events, announcements, engine_secs, topology_events, sim_end) = if let Some(path) =
-        &cfg.trace
-    {
-        // Traced leg: full recorder, wheel queue. The throughput numbers of
-        // a traced run include the recorder's overhead — the gate always
-        // runs untraced (NoopRecorder, below).
+        throughput_leg(engine, cfg, landmarks, build_secs).0
+    } else if let Some(path) = &cfg.trace {
+        // Traced leg: full recorder. The throughput numbers of a traced
+        // run include the recorder's overhead — the gate always runs
+        // untraced (NoopRecorder, below).
         let mut rec = FullRecorder::new();
         rec.phase_begin(Phase::Build, 0.0);
         rec.phase_end(Phase::Build, 0.0); // static build happened above
         let mut engine = Engine::with_recorder(&graph, factory, TimerWheel::new(), rec);
         schedule.apply_to(&mut engine);
-        engine.recorder_mut().phase_begin(Phase::Churn, 0.0);
-        let out = drive(&mut engine, cfg.announcement_budget);
-        let end = engine.now();
-        engine.recorder_mut().phase_end(Phase::Churn, end);
-        engine.recorder_mut().finish(end);
-        let rec = engine.into_recorder();
+        let (result, rec) = throughput_leg(engine, cfg, landmarks, build_secs);
         let json = rec.chrome_trace_json();
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("trace written to {path} ({} bytes)", json.len());
-        out
-    } else if cfg.heap_queue {
-        let mut engine = Engine::with_queue(&graph, factory, BinaryHeapQueue::new());
-        schedule.apply_to(&mut engine);
-        drive(&mut engine, cfg.announcement_budget)
+        result
     } else {
-        let mut engine = Engine::with_recorder(&graph, factory, TimerWheel::new(), NoopRecorder);
+        let mut engine = Engine::new(&graph, factory);
         schedule.apply_to(&mut engine);
-        drive(&mut engine, cfg.announcement_budget)
-    };
-    let arena = PathArena::stats();
-    let arena_reclaimed_cells = PathArena::shrink();
+        throughput_leg(engine, cfg, landmarks, build_secs).0
+    }
+}
 
-    ScaleResult {
+/// The budgeted throughput leg on a freshly built engine with the churn
+/// schedule injected: boot until the announcement budget is delivered,
+/// gauge the path arenas (each shard's thread-local arena, summed) while
+/// the routing state is still live, then shut down — dropping the state
+/// and compacting the arenas.
+fn throughput_leg<E: Sim>(
+    mut engine: E,
+    cfg: &ScaleConfig,
+    landmarks: usize,
+    build_secs: f64,
+) -> (ScaleResult, E::Rec) {
+    for shard in 0..engine.shards() {
+        engine.visit(shard, |_| PathArena::reset_peak());
+    }
+    let budget = cfg.announcement_budget;
+    engine.phase_begin(Phase::Churn, 0.0);
+    let t1 = Instant::now();
+    engine.start();
+    engine.run_until(|e| e.messages_delivered() >= budget);
+    let engine_secs = t1.elapsed().as_secs_f64();
+    let sim_end = engine.now();
+    engine.phase_end(Phase::Churn, sim_end);
+    let (mut peak, mut live) = (0usize, 0usize);
+    for shard in 0..engine.shards() {
+        let st = engine.visit(shard, |_| PathArena::stats());
+        peak += st.peak_live_cells;
+        live += st.live_cells;
+    }
+    let events = engine.events_processed();
+    let announcements = engine.messages_delivered();
+    let topology_events = engine.topology_events();
+    let finished = engine.finish();
+    let result = ScaleResult {
         n: cfg.n,
-        landmarks: landmarks_built,
+        landmarks,
         build_secs,
         events,
         announcements,
         engine_secs,
         events_per_sec: events as f64 / engine_secs.max(1e-9),
         announcements_per_sec: announcements as f64 / engine_secs.max(1e-9),
-        peak_arena_cells: arena.peak_live_cells,
-        live_arena_cells: arena.live_cells,
-        arena_reclaimed_cells,
+        peak_arena_cells: peak,
+        live_arena_cells: live,
+        arena_reclaimed_cells: finished.arena_reclaimed_cells,
         topology_events,
-        shards: 0,
+        shards: cfg.shards,
         sim_end,
-    }
+    };
+    (result, finished.recorder)
 }
 
 #[cfg(test)]
@@ -321,7 +259,6 @@ mod tests {
             seed: 3,
             announcement_budget: 50_000,
             build_threads: 2,
-            heap_queue: false,
             trace: None,
             shards: 0,
         });
@@ -339,27 +276,6 @@ mod tests {
         assert!(j.contains("\"announcements_per_sec\""));
     }
 
-    /// The heap-queue leg must process the identical event stream (same
-    /// event and announcement counts for the same budget — determinism
-    /// across queues).
-    #[test]
-    fn heap_and_wheel_legs_agree_on_event_count() {
-        let mk = |heap| ScaleConfig {
-            n: 96,
-            seed: 5,
-            announcement_budget: 40_000,
-            build_threads: 1,
-            heap_queue: heap,
-            trace: None,
-            shards: 0,
-        };
-        let a = run_one(&mk(false));
-        let b = run_one(&mk(true));
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.announcements, b.announcements);
-        assert_eq!(a.topology_events, b.topology_events);
-    }
-
     /// The sharded leg's budget stop is shard-count-invariant: delivered
     /// announcements, topology events and the simulation end time agree
     /// across shard counts (the `--shards K --smoke` gate's contract).
@@ -370,7 +286,6 @@ mod tests {
             seed: 5,
             announcement_budget: 40_000,
             build_threads: 1,
-            heap_queue: false,
             trace: None,
             shards,
         };

@@ -13,7 +13,7 @@ use disco_core::path_vector::PathVectorNode;
 use disco_core::protocol::{DiscoProtocol, WireAddress};
 use disco_graph::{dijkstra, Graph, InternedPath, NodeId};
 use disco_sim::rng::rng_for;
-use disco_sim::{Engine, EventQueue, Protocol, Recorder, ShardedEngine, SimTime};
+use disco_sim::{Engine, EventQueue, Protocol, Recorder, Sim, SimTime};
 use rand::Rng;
 
 /// Outcome of one batch of route probes.
@@ -53,21 +53,16 @@ impl ProbeReport {
     }
 }
 
-/// Sample `count` ordered pairs of distinct live nodes from `live`,
-/// deterministically from `(seed, topology_events)`. The shared core of
-/// the sequential and sharded samplers: both draw from the same RNG
-/// stream keyed by the same topology-event count, so a sharded run probes
-/// exactly the pairs the sequential run would.
-fn sample_pairs_from(
-    live: &[NodeId],
-    topology_events: u64,
-    count: usize,
-    seed: u64,
-) -> Vec<(NodeId, NodeId)> {
+/// Sample `count` ordered pairs of distinct currently-live nodes,
+/// deterministically from `(seed, topology events applied)`. Both engines
+/// report the same live set and event count at the same probe point, so a
+/// sharded run probes exactly the pairs a sequential run would.
+pub fn sample_live_pairs<E: Sim>(engine: &E, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
+    let live: Vec<NodeId> = engine.active_nodes().collect();
     if live.len() < 2 {
         return Vec::new();
     }
-    let mut rng = rng_for(seed, 0xb0, topology_events);
+    let mut rng = rng_for(seed, 0xb0, engine.topology_events());
     let mut pairs = Vec::with_capacity(count);
     for _ in 0..count {
         let s = live[rng.gen_range(0..live.len())];
@@ -78,32 +73,6 @@ fn sample_pairs_from(
         pairs.push((s, t));
     }
     pairs
-}
-
-/// Sample `count` ordered pairs of distinct currently-live nodes,
-/// deterministically from `seed`.
-pub fn sample_live_pairs<P: Protocol, Q: EventQueue<P::Message>, R: Recorder>(
-    engine: &Engine<'_, P, Q, R>,
-    count: usize,
-    seed: u64,
-) -> Vec<(NodeId, NodeId)> {
-    let live: Vec<NodeId> = engine.active_nodes().collect();
-    sample_pairs_from(&live, engine.topology_events(), count, seed)
-}
-
-/// [`sample_live_pairs`] against a sharded engine's coordinator mirror.
-/// Byte-identical pairs to the sequential sampler at the same probe point.
-pub fn sample_live_pairs_sharded<P, R>(
-    engine: &ShardedEngine<P, R>,
-    count: usize,
-    seed: u64,
-) -> Vec<(NodeId, NodeId)>
-where
-    P: disco_sim::ShardProtocol + 'static,
-    R: Recorder + Send + 'static,
-{
-    let live: Vec<NodeId> = engine.active_nodes().collect();
-    sample_pairs_from(&live, engine.topology_events(), count, seed)
 }
 
 /// Probe each pair: ask `route_of` for candidate routes in preference
@@ -130,8 +99,8 @@ pub fn probe<P: Protocol, Q: EventQueue<P::Message>, R: Recorder>(
     )
 }
 
-/// The measurement half of a probe, shared by the sequential and sharded
-/// drivers: given each pair's candidate routes (in preference order),
+/// The measurement half of a probe, shared by [`probe`] and
+/// [`disco_probe`]: given each pair's candidate routes (in preference order),
 /// validate them hop-by-hop against `graph` + `is_active`, count delivered
 /// pairs and accumulate stretch against the true shortest paths.
 fn validate_candidates(
@@ -209,44 +178,16 @@ pub fn path_vector_route(nodes: &[PathVectorNode], s: NodeId, t: NodeId) -> Vec<
         .collect()
 }
 
-/// Route oracle emulating Disco's first packet (§4.3), in the protocol's
-/// preference order: a vicinity route if the source has one; the address
-/// known through the source's sloppy group; and name resolution — the
-/// destination's flat-name hash resolved at the owning landmark (which the
-/// source must be able to reach and which must hold an address for the
-/// hash), followed as `s ; ℓ_t ; t`.
-pub fn disco_first_packet_route(nodes: &[DiscoProtocol], s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
-    let src = &nodes[s.0];
-    let mut candidates = Vec::new();
-    // Vicinity / landmark-table route.
-    if let Some(direct) = src.pv.table.get(&t) {
-        candidates.push(direct.path.to_vec());
-    }
-    // Sloppy-group proxy: the source may already know the address.
-    if let Some(addr) = src.group_address(t) {
-        candidates.extend(src.route_to(t, Some(addr)).map(|p| p.to_vec()));
-    }
-    // Name resolution: the owner landmark of H(t) must be reachable from s
-    // and must hold t's address.
-    let t_hash = nodes[t.0].my_hash();
-    if let Some(owner) = src.owner_landmark(t_hash) {
-        if src.route_to(owner, None).is_some() {
-            // The resolution request is routable; use the stored address.
-            if let Some(addr) = nodes[owner.0].resolution_store.get(&t_hash) {
-                if addr.node == t {
-                    candidates.extend(src.route_to(t, Some(addr)).map(|p| p.to_vec()));
-                }
-            }
-        }
-    }
-    candidates
-}
-
-/// [`probe`] with [`disco_first_packet_route`] semantics against a sharded
-/// engine. Node `v`'s live protocol state exists only on shard
-/// `owner_of(v)`, so the candidate collection runs as three batched visit
-/// phases (one sweep over the shards each) that reproduce the sequential
-/// oracle's candidate order exactly:
+/// Probe each pair with Disco's first-packet route choice (§4.3), in the
+/// protocol's preference order: a vicinity route if the source has one;
+/// the address known through the source's sloppy group; and name
+/// resolution — the destination's flat-name hash resolved at the owning
+/// landmark (which the source must be able to reach and which must hold
+/// an address for the hash), followed as `s ; ℓ_t ; t`.
+///
+/// Node `v`'s live protocol state is on shard `owner_of(v)`, so the
+/// candidates are collected in three batched visit phases (one sweep over
+/// the shards each):
 ///
 /// 1. on `owner(s)`: the vicinity route and the sloppy-group route, plus
 ///    whether the owner landmark of `H(t)` is reachable from `s` (the
@@ -257,15 +198,12 @@ pub fn disco_first_packet_route(nodes: &[DiscoProtocol], s: NodeId, t: NodeId) -
 /// 3. on `owner(s)` again: the resolution route `s ; ℓ_t ; t` built from
 ///    the re-interned address, appended after the phase-1 candidates.
 ///
-/// Validation then runs against the coordinator's graph mirror, so the
-/// report is byte-identical to the sequential probe at the same time.
-pub fn disco_probe_sharded<R>(
-    engine: &mut ShardedEngine<DiscoProtocol, R>,
+/// Validation then runs against the engine's current graph, so the report
+/// is the same on every engine and shard count at the same probe point.
+pub fn disco_probe<E: Sim<Node = DiscoProtocol>>(
+    engine: &mut E,
     pairs: &[(NodeId, NodeId)],
-) -> ProbeReport
-where
-    R: Recorder + Send + 'static,
-{
+) -> ProbeReport {
     let shards = engine.shards();
     let mut candidates: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); pairs.len()];
     // Resolution follow-ups: pair index -> (owning landmark, H(t)).
@@ -283,8 +221,7 @@ where
             continue;
         }
         type Phase1Row = (usize, Vec<Vec<NodeId>>, Option<(NodeId, NameHash)>);
-        let rows: Vec<Phase1Row> = engine.visit(shard, move |e| {
-            let nodes = e.nodes();
+        let rows: Vec<Phase1Row> = engine.visit(shard, move |nodes| {
             mine.into_iter()
                 .map(|(i, s, t)| {
                     let src = &nodes[s.0];
@@ -325,8 +262,7 @@ where
             continue;
         }
         type Phase2Row = (usize, Option<(NodeId, NodeId, Vec<NodeId>)>);
-        let rows: Vec<Phase2Row> = engine.visit(shard, move |e| {
-            let nodes = e.nodes();
+        let rows: Vec<Phase2Row> = engine.visit(shard, move |nodes| {
             mine.into_iter()
                 .map(|(i, owner, hash, t)| {
                     let addr = nodes[owner.0]
@@ -358,8 +294,7 @@ where
         if mine.is_empty() {
             continue;
         }
-        let rows: Vec<(usize, Option<Vec<NodeId>>)> = engine.visit(shard, move |e| {
-            let nodes = e.nodes();
+        let rows: Vec<(usize, Option<Vec<NodeId>>)> = engine.visit(shard, move |nodes| {
             mine.into_iter()
                 .map(|(i, s, t, (node, landmark, path))| {
                     let addr = WireAddress {
@@ -388,9 +323,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::PoissonChurn;
+    use disco_core::config::DiscoConfig;
+    use disco_core::landmark::{landmark_set, select_landmarks};
     use disco_core::path_vector::TableLimit;
+    use disco_core::protocol::PhaseTimers;
     use disco_graph::generators;
-    use disco_sim::TopologyEvent;
+    use disco_sim::{ShardedEngine, TopologyEvent};
 
     fn pv_engine(n: usize, m: usize, seed: u64) -> Engine<'static, PathVectorNode> {
         let g = generators::gnm_connected(n, m, seed);
@@ -470,6 +409,65 @@ mod tests {
             assert_eq!(report.delivered == 1, walks);
         } else {
             assert_eq!(report.delivered, 0);
+        }
+    }
+
+    /// Boot `engine`, `inject` churn, and probe with [`disco_probe`] at
+    /// four times through the churn window and once after the drain.
+    fn disco_reports<E: Sim<Node = DiscoProtocol>>(
+        mut engine: E,
+        inject: impl FnOnce(&mut E),
+    ) -> Vec<ProbeReport> {
+        assert!(engine.run().converged);
+        let start = engine.now();
+        inject(&mut engine);
+        let mut reports = Vec::new();
+        for i in 1..=4u64 {
+            engine.run_to(start + 100.0 * i as f64);
+            let pairs = sample_live_pairs(&engine, 48, i);
+            reports.push(disco_probe(&mut engine, &pairs));
+        }
+        assert!(engine.run_until(|_| false), "repair did not quiesce");
+        let pairs = sample_live_pairs(&engine, 48, 0xd7a1);
+        reports.push(disco_probe(&mut engine, &pairs));
+        reports
+    }
+
+    /// The single Disco probe reads protocol state on the owner shards, so
+    /// a churned run reports the same at every probe time on the
+    /// sequential engine and on the sharded one at shards {1, 3}.
+    #[test]
+    fn disco_probe_matches_across_engines() {
+        let (n, seed) = (64, 3);
+        let g = generators::gnm_average_degree(n, 6.0, seed);
+        let cfg = DiscoConfig::seeded(seed);
+        let landmarks = landmark_set(&select_landmarks(n, &cfg));
+        let factory =
+            move |v| DiscoProtocol::new(v, landmarks.contains(&v), n, &cfg, PhaseTimers::default());
+        let schedule = PoissonChurn {
+            leave_rate_per_node: 0.002,
+            mean_downtime: 80.0,
+            horizon: 400.0,
+            ..PoissonChurn::default()
+        }
+        .compile(&g, seed);
+        assert!(schedule.len() > 10, "expected real churn");
+
+        let seq = disco_reports(Engine::new(&g, factory.clone()), |e| schedule.apply_to(e));
+        assert!(seq.iter().all(|r| r.routable > 0 && r.delivered > 0));
+        let last = seq.last().unwrap();
+        assert_eq!(
+            last.delivered, last.routable,
+            "full availability after repair"
+        );
+        for shards in [1, 3] {
+            let engine = ShardedEngine::new(&g, shards, seed, factory.clone());
+            let sharded = disco_reports(engine, |e| {
+                schedule
+                    .apply_to_sharded(e)
+                    .expect("churn re-adds original links")
+            });
+            assert_eq!(seq, sharded, "probe reports diverged at shards {shards}");
         }
     }
 }

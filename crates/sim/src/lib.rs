@@ -65,6 +65,7 @@ pub mod engine;
 pub mod event;
 pub mod rng;
 pub mod sharded;
+pub mod sim;
 pub mod stats;
 
 pub use context::Context;
@@ -74,6 +75,7 @@ pub use rng::seed_for;
 pub use sharded::{
     LookaheadViolation, Partition, ShardEngine, ShardProtocol, ShardedEngine, ShardedRunSummary,
 };
+pub use sim::{Finished, Sim};
 pub use stats::MessageStats;
 
 // Re-exported so protocol crates and bench harnesses can implement

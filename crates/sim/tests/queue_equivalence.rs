@@ -1,11 +1,13 @@
 //! The timer wheel's contract: pop order identical to the reference
 //! `BinaryHeap` queue — `(time, key, seq)`, logical key then FIFO on
 //! full ties — on arbitrary interleavings of pushes, pops, peeks and
-//! cancellations.
+//! cancellations, and a whole churned engine run that is the same on
+//! either queue.
 
-use disco_graph::NodeId;
+use disco_graph::{generators, NodeId};
 use disco_sim::event::{BinaryHeapQueue, Event, EventKind, EventQueue, TimerWheel};
 use disco_sim::rng::rng_for;
+use disco_sim::{Context, Engine, Protocol, RunReport, TopologyEvent};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -97,4 +99,86 @@ proptest! {
         }
         prop_assert_eq!(wheel.dead_refs(), 0, "drained wheel must hold no residue");
     }
+}
+
+/// A chatty protocol for the whole-engine check: periodic broadcasts on a
+/// timer, short reply chains to every message, and a hello plus a fresh
+/// timer to each neighbor that comes up — so churn cancels live timers
+/// and in-flight messages on both queues.
+struct Beacon;
+
+impl Protocol for Beacon {
+    type Message = u32;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+        ctx.set_timer(1.0 + (ctx.node_id().0 % 4) as f64 * 0.25, 0);
+        ctx.broadcast(0);
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: u32, ctx: &mut Context<'_, u32>) {
+        if msg < 3 {
+            ctx.send(from, msg + 1);
+        }
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, u32>) {
+        if token < 12 {
+            ctx.broadcast(0);
+            ctx.set_timer(2.5, token + 1);
+        }
+    }
+
+    fn on_neighbor_up(&mut self, peer: NodeId, ctx: &mut Context<'_, u32>) {
+        ctx.send(peer, 0);
+        ctx.set_timer(0.5, 6);
+    }
+}
+
+/// One churned run of [`Beacon`] on the engine built by `engine`: node
+/// departures with rejoins and link flaps spread over the timer rounds.
+fn churned_run<Q: EventQueue<u32>>(
+    engine: impl FnOnce(&disco_graph::Graph) -> Engine<'static, Beacon, Q>,
+) -> RunReport {
+    let g = generators::gnm_connected(64, 256, 17);
+    let mut e = engine(&g);
+    for k in 0..10usize {
+        let t = 2.0 + 2.5 * k as f64;
+        let node = NodeId(1 + 6 * k);
+        e.schedule_topology(t, TopologyEvent::NodeLeave { node });
+        e.schedule_topology(
+            t + 4.0,
+            TopologyEvent::NodeJoin {
+                node,
+                links: vec![(NodeId(0), 1.0), (NodeId(63), 2.0)],
+            },
+        );
+    }
+    let edges: Vec<(NodeId, NodeId)> = g.edges().map(|(_, e)| (e.u, e.v)).step_by(23).collect();
+    for (i, &(u, v)) in edges.iter().enumerate() {
+        let t = 1.5 + 2.0 * i as f64;
+        e.schedule_topology(t, TopologyEvent::LinkDown { u, v });
+        e.schedule_topology(t + 3.0, TopologyEvent::LinkUp { u, v, weight: 1.0 });
+    }
+    e.run()
+}
+
+/// The whole engine, not just the queue: a churned run processes the same
+/// events, deliveries, drops and topology events on the reference heap
+/// as on the default timer wheel.
+#[test]
+fn churned_engine_run_is_queue_independent() {
+    let heap = churned_run(|g| Engine::with_queue(g, |_| Beacon, BinaryHeapQueue::new()));
+    let wheel = churned_run(|g| Engine::new(g, |_| Beacon));
+    assert!(wheel.converged && heap.converged);
+    assert!(wheel.topology_events >= 40, "expected real churn");
+    assert!(
+        wheel.messages_dropped > 0,
+        "churn must cut something in flight"
+    );
+    assert_eq!(heap.events_processed, wheel.events_processed);
+    assert_eq!(heap.messages_delivered, wheel.messages_delivered);
+    assert_eq!(heap.topology_events, wheel.topology_events);
+    assert_eq!(heap.messages_dropped, wheel.messages_dropped);
+    assert_eq!(heap.end_time, wheel.end_time);
+    assert_eq!(heap.stats, wheel.stats);
 }

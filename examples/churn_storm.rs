@@ -15,7 +15,7 @@ use disco::core::config::DiscoConfig;
 use disco::core::landmark::select_landmarks;
 use disco::core::protocol::{DiscoProtocol, PhaseTimers};
 use disco::dynamics::models::{FlashCrowd, LinkFailures, PoissonChurn, Waypoints};
-use disco::dynamics::probe::{disco_first_packet_route, probe, sample_live_pairs};
+use disco::dynamics::probe::{disco_probe, sample_live_pairs};
 use disco::graph::{generators, NodeId};
 use disco::sim::Engine;
 use std::collections::HashSet;
@@ -99,7 +99,7 @@ fn main() {
         let t = start + horizon * i as f64 / 6.0;
         engine.run_to(t);
         let pairs = sample_live_pairs(&engine, 96, seed ^ i as u64);
-        let p = probe(&engine, &pairs, disco_first_packet_route);
+        let p = disco_probe(&mut engine, &pairs);
         println!(
             "{:>8.0} {:>6} {:>10} {:>10} {:>13.3}",
             t - start,
@@ -112,7 +112,7 @@ fn main() {
 
     let quiesced = engine.run_until(|_| false);
     let pairs = sample_live_pairs(&engine, 96, seed ^ 0xdead);
-    let p = probe(&engine, &pairs, disco_first_packet_route);
+    let p = disco_probe(&mut engine, &pairs);
     println!(
         "\nafter the storm (quiesced: {quiesced}): {} live nodes, availability {:.4}, mean stretch {:.3}",
         engine.active_count(),
